@@ -2,9 +2,9 @@
 //! engine at 1/2/4/8 shards over the standard SYN-flood workload and
 //! writes `BENCH_replay.json` — throughput, epoch/merge timing
 //! quantiles, the detector's detection-delay distribution, and the
-//! pool-vs-reference speedup per shard count (the reference engine is
-//! the pre-pool per-epoch thread-scope implementation kept as
-//! `replay::reference`).
+//! pool-vs-reference speedup per shard count. `reference_pps` is the
+//! throughput of `replay::reference`, the threadless sequential oracle
+//! that runs the same epoch coordinator with a plain per-frame loop.
 //!
 //! ```text
 //! cargo run -p bench --bin emit_bench_json --release [-- [--check] [OUT.json]]

@@ -27,8 +27,7 @@
 //! ensemble and the drilldown ladder are path-dependent objects with
 //! private state spread over eight engines. Rather than chase every
 //! field, the checkpoint stores the exact per-interval inputs they
-//! observed ([`ContextEntry`]); [`Checkpoint::rebuild_detection`]
-//! replays them (with any committed weight overrides re-applied at
+//! observed ([`ContextEntry`]); a resume replays them (with any committed weight overrides re-applied at
 //! their original positions) through fresh instances. Detection is a
 //! pure function of that input sequence, so the rebuilt state — engine
 //! internals, fired log, metrics, ladder phase — is bit-identical to
@@ -36,11 +35,11 @@
 
 use crate::provenance::AlertProvenanceRecord;
 use crate::snapshot::{
-    ju, jus, obj, opt_u64, parse_record, record_json, req, req_arr, req_i64, req_str, req_u64,
-    req_usize,
+    ju, jus, obj, opt_u64, parse_record, parse_signals, record_json, req, req_arr, req_i64,
+    req_str, req_u64, req_usize, signals_json,
 };
-use crate::{build_ensemble, IncidentKind, ReplayConfig, ShardIncident, ShardState};
-use anomaly::{Ensemble, ScoreDrilldown, SignalContext, SignalValues};
+use crate::{IncidentKind, ShardIncident, ShardState};
+use anomaly::SignalValues;
 use faultinject::{CkptCorruption, FaultSchedule};
 use p4sim::PipelineState;
 use stat4_core::freq::FrequencyDist;
@@ -284,56 +283,6 @@ pub struct Checkpoint {
     pub pipeline: Option<PipelineState>,
 }
 
-impl Checkpoint {
-    /// Rebuilds the detection ensemble and the drilldown ladder by
-    /// replaying the delivered-signal log (with committed weight
-    /// overrides re-applied at their original positions) through fresh
-    /// instances. Returns the pair plus the restored override layer.
-    #[must_use]
-    pub fn rebuild_detection(&self, cfg: &ReplayConfig) -> (Ensemble, ScoreDrilldown) {
-        let mut ensemble = build_ensemble(cfg);
-        let mut drill = ScoreDrilldown::new(cfg.ensemble.trigger);
-        let mut next_override = 0usize;
-        for (i, entry) in self.context_log.iter().enumerate() {
-            while let Some(o) = self.overrides.get(next_override) {
-                if o.after_observes as usize > i {
-                    break;
-                }
-                let _ = ensemble.set_weight_override(&o.engine, o.weight);
-                next_override += 1;
-            }
-            let kinds = FrequencyDist::from_raw_counts(entry.kinds_min, entry.kinds_counts.clone())
-                .expect("validated kind log entry");
-            let len_stats =
-                RunningStats::from_raw(entry.len_n, entry.len_xsum, entry.len_xsumsq);
-            let s = &entry.signals;
-            let ctx = SignalContext {
-                at: s.at,
-                epoch: s.epoch,
-                interval_ns: s.interval_ns,
-                spanned: s.spanned,
-                packets: s.packets,
-                syns: s.syns,
-                len_sum: s.len_sum,
-                distinct_sources: s.distinct_sources,
-                median_len: s.median_len,
-                kinds: &kinds,
-                len_stats: &len_stats,
-            };
-            let verdict = ensemble.observe(&ctx);
-            // The ladder's phase/generation/quiet counters advance on
-            // every verdict; the outcome itself was recorded in the
-            // provenance log at first firing, which resumes verbatim.
-            let _ = drill.observe(&verdict);
-        }
-        while let Some(o) = self.overrides.get(next_override) {
-            let _ = ensemble.set_weight_override(&o.engine, o.weight);
-            next_override += 1;
-        }
-        (ensemble, drill)
-    }
-}
-
 // ---- render ---------------------------------------------------------
 
 fn jb(v: bool) -> Json {
@@ -342,20 +291,6 @@ fn jb(v: bool) -> Json {
 
 fn jopt_i64(v: Option<i64>) -> Json {
     v.map_or(Json::Null, Json::Int)
-}
-
-fn signals_json(s: &SignalValues) -> Json {
-    obj(vec![
-        ("at", ju(s.at)),
-        ("epoch", ju(s.epoch)),
-        ("interval_ns", ju(s.interval_ns)),
-        ("spanned", Json::Int(s.spanned)),
-        ("packets", Json::Int(s.packets)),
-        ("syns", Json::Int(s.syns)),
-        ("len_sum", Json::Int(s.len_sum)),
-        ("distinct_sources", Json::Int(s.distinct_sources)),
-        ("median_len", Json::Int(s.median_len)),
-    ])
 }
 
 fn u64_arr(v: &[u64]) -> Json {
@@ -539,20 +474,6 @@ pub fn serialize(c: &Checkpoint) -> String {
 }
 
 // ---- parse ----------------------------------------------------------
-
-fn parse_signals(v: &Json, path: &str) -> Result<SignalValues, String> {
-    Ok(SignalValues {
-        at: req_u64(v, "at", path)?,
-        epoch: req_u64(v, "epoch", path)?,
-        interval_ns: req_u64(v, "interval_ns", path)?,
-        spanned: req_i64(v, "spanned", path)?,
-        packets: req_i64(v, "packets", path)?,
-        syns: req_i64(v, "syns", path)?,
-        len_sum: req_i64(v, "len_sum", path)?,
-        distinct_sources: req_i64(v, "distinct_sources", path)?,
-        median_len: req_i64(v, "median_len", path)?,
-    })
-}
 
 fn req_u64_arr(v: &Json, key: &str, path: &str) -> Result<Vec<u64>, String> {
     req_arr(v, key, path)?
@@ -891,6 +812,7 @@ pub fn load_latest(dir: &Path) -> Result<(Checkpoint, Vec<String>), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReplayConfig;
 
     fn sample_state() -> ShardState {
         let cfg = ReplayConfig::default();

@@ -18,15 +18,17 @@
 //!
 //! - **Sharding** — [`workloads::shard`] hashes each frame's flow
 //!   5-tuple, so splitting is deterministic and flow-affine.
-//! - **Worker pool** — one OS thread per shard, spawned **once per
-//!   run** and fed through bounded per-shard channels ([`mod@pool`]
-//!   internals): each detector interval (epoch) the coordinator moves
-//!   the shard's state plus the interval's frame list to the worker,
-//!   pre-partitions the *next* interval while the workers ingest, and
-//!   recycles the frame buffers run-long. The original engine — which
-//!   re-spawned a `std::thread::scope` worker set every interval — is
-//!   kept as [`reference`] and is the conformance baseline the pool is
-//!   tested bit-identical against (`tests/pool.rs`).
+//! - **Coordinator and engines** — every per-run rule (epoch cutting,
+//!   routing, the fault plan, the barrier merge, detection,
+//!   provenance, checkpoints and swaps) lives in one epoch
+//!   coordinator; an engine only ingests each surviving shard's slice.
+//!   The production engine is a worker pool ([`mod@pool`]): one OS
+//!   thread per shard, spawned **once per run** and fed through
+//!   bounded per-shard channels; each epoch the coordinator moves the
+//!   shard's state plus its frame list to the worker and back. The
+//!   [`reference`] engine is a threadless sequential oracle over the
+//!   same coordinator, and the pool is tested bit-identical against it
+//!   (`tests/pool.rs`).
 //! - **Epochs** — time is cut into detector intervals; each epoch,
 //!   every surviving worker ingests its slice of the interval in
 //!   batches, then all replies join at the coordinator's barrier.
@@ -60,6 +62,7 @@
 
 mod barrier;
 pub mod ckpt;
+mod coordinator;
 pub mod lifecycle;
 pub mod metrics;
 mod pool;
@@ -68,6 +71,7 @@ pub mod reference;
 pub mod snapshot;
 
 pub use ckpt::Checkpoint;
+use coordinator::EpochCoordinator;
 pub use lifecycle::{
     LifecycleEvent, LifecyclePlan, LifecycleReport, ShedController, ShedLevel, ShedPolicy,
     SwapRequest,
@@ -644,58 +648,6 @@ pub fn run_replay(schedule: &Schedule, cfg: &ReplayConfig) -> ReplayOutcome {
     run_replay_with_faults(schedule, cfg, &FaultSchedule::none())
 }
 
-/// The next surviving shard after `home` in ring order, if any.
-pub(crate) fn next_alive(alive: &[bool], home: usize) -> Option<usize> {
-    (1..alive.len())
-        .map(|d| (home + d) % alive.len())
-        .find(|&s| alive[s])
-}
-
-/// Renders a caught panic payload (best effort: `&str` and `String`
-/// payloads, which covers every `panic!` with a message).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        String::from("shard thread panicked (non-string payload)")
-    }
-}
-
-/// The merged median frame length handed to the detectors. An empty
-/// merged state (every shard quarantined) has no median; that used to
-/// be silently flattened to 0 by `unwrap_or` — now the fallback is
-/// still 0 (the detectors need *a* number) but the incident is counted
-/// in `median_fallbacks` so a degraded signal is visible.
-pub(crate) fn median_len_signal(
-    len_median: &PercentileSet,
-    fallbacks: &mut telemetry::Counter,
-) -> i64 {
-    match len_median.estimate(0) {
-        Some(v) => v,
-        None => {
-            fallbacks.inc();
-            0
-        }
-    }
-}
-
-/// The closed interval's SYN count as the detectors' u64 signal. The
-/// counter is i64 (carried-forward arithmetic can in principle go
-/// negative on a corrupted pipe); a negative value used to be silently
-/// flattened to 0 by `unwrap_or` — now the clamp is counted in
-/// `syn_clamps`.
-pub(crate) fn closed_interval_syns(syns: i64, clamps: &mut telemetry::Counter) -> u64 {
-    match u64::try_from(syns) {
-        Ok(v) => v,
-        Err(_) => {
-            clamps.inc();
-            0
-        }
-    }
-}
-
 /// Folds every surviving shard into a fresh merged view. A shard whose
 /// state will not merge (geometry mismatch — impossible when all
 /// states come from one config, but treated as pipe corruption rather
@@ -703,26 +655,11 @@ pub(crate) fn closed_interval_syns(syns: i64, clamps: &mut telemetry::Counter) -
 ///
 /// Geometry is validated **before** any tracker is touched
 /// ([`ShardState::merge_mismatch`]), so the merge itself runs in place
-/// on the accumulating view. The previous implementation merged into a
-/// trial clone per shard to stay atomic under a mid-merge mismatch —
-/// O(shards²) copies of the full tracker set every epoch; validate-
-/// then-merge keeps the same quarantine behaviour with zero clones.
+/// on the accumulating view with zero clones.
+///
+/// `entries` are `(shard index, state)` pairs for every populated
+/// slot; a shard whose state died with its worker has no entry.
 pub(crate) fn merge_surviving(
-    shards: &[ShardState],
-    alive: &mut [bool],
-    cfg: &ReplayConfig,
-    epoch_idx: u64,
-    incidents: &mut Vec<ShardIncident>,
-) -> ShardState {
-    let entries: Vec<(usize, &ShardState)> = shards.iter().enumerate().collect();
-    merge_surviving_entries(&entries, alive, cfg, epoch_idx, incidents)
-}
-
-/// [`merge_surviving`] over an explicit `(shard index, state)` list —
-/// the pool engine owns its states in `Option` slots, so it hands in
-/// references to whichever slots are populated rather than a
-/// contiguous slice.
-pub(crate) fn merge_surviving_entries(
     entries: &[(usize, &ShardState)],
     alive: &mut [bool],
     cfg: &ReplayConfig,
@@ -769,7 +706,7 @@ pub(crate) fn merge_surviving_entries(
 ///   sleeps the shard thread (state survives; only wall-clock timings
 ///   change). A `Panic` unwinds the shard thread; the supervisor
 ///   catches the failed join. A `Crash` stops the shard cleanly before
-///   its thread spawns. Panicked and crashed shards are *quarantined*:
+///   its slice is dispatched. Panicked and crashed shards are *quarantined*:
 ///   their slice of the fault epoch is lost, their accumulated state is
 ///   excluded from all future merges (a dead pipe's registers are
 ///   unreadable), and their traffic reroutes to the next survivor in
@@ -791,11 +728,11 @@ pub(crate) fn merge_surviving_entries(
 /// surviving shards, coverage and every incident. With an empty
 /// schedule the behaviour is bit-identical to [`run_replay`].
 ///
-/// Since the worker-pool rewrite this runs on the persistent pool
-/// engine ([`mod@pool`]); [`reference::run_replay_with_faults`] keeps
-/// the original per-epoch thread-scope engine as the conformance
-/// baseline — outcomes (merged state, alerts, health, telemetry
-/// counter sums) are bit-identical between the two.
+/// This runs on the persistent worker pool ([`mod@pool`]).
+/// [`reference::run_replay_with_faults`] drives the same epoch
+/// coordinator with a threadless sequential oracle — a plain per-frame
+/// loop — and the two outcomes (merged state, alerts, health,
+/// telemetry counter sums) are bit-identical.
 ///
 /// # Panics
 ///
@@ -806,7 +743,7 @@ pub fn run_replay_with_faults(
     cfg: &ReplayConfig,
     faults: &FaultSchedule,
 ) -> ReplayOutcome {
-    pool::run(schedule, cfg, faults, &LifecyclePlan::none(), None).0
+    run_replay_lifecycle(schedule, cfg, faults, &LifecyclePlan::none()).0
 }
 
 /// [`run_replay_with_faults`] with the full lifecycle layer active:
@@ -826,7 +763,7 @@ pub fn run_replay_lifecycle(
     faults: &FaultSchedule,
     plan: &LifecyclePlan,
 ) -> (ReplayOutcome, LifecycleReport) {
-    pool::run(schedule, cfg, faults, plan, None)
+    pool::run(EpochCoordinator::new(schedule, cfg, faults.clone(), plan))
 }
 
 /// Continues a checkpointed replay to completion.
@@ -862,94 +799,14 @@ pub fn resume_from_checkpoint(
         .as_deref()
         .ok_or_else(|| String::from("resume requires a checkpoint directory in the plan"))?;
     let (c, fallbacks) = ckpt::load_latest(dir)?;
-    if c.cfg_shards != cfg.shards || c.cfg_batch != cfg.batch {
-        return Err(format!(
-            "checkpoint was taken with shards={}, batch={}; run configured with shards={}, \
-             batch={}",
-            c.cfg_shards, c.cfg_batch, cfg.shards, cfg.batch
-        ));
-    }
-    if c.cfg_interval_ns != cfg.detector.interval_ns {
-        return Err(format!(
-            "checkpoint interval {}ns does not match configured {}ns",
-            c.cfg_interval_ns, cfg.detector.interval_ns
-        ));
-    }
-    if c.schedule_packets != schedule.len() as u64 {
-        return Err(format!(
-            "checkpoint covers a {}-frame schedule; this schedule has {} frames",
-            c.schedule_packets,
-            schedule.len()
-        ));
-    }
-    let faults = if c.faults_spec.is_empty() {
-        FaultSchedule::none()
-    } else {
-        FaultSchedule::parse(&c.faults_spec, c.fault_seed)
-            .map_err(|e| format!("stored fault spec {:?}: {e}", c.faults_spec))?
-    };
-    let states = c
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(s, raw)| {
-            raw.as_ref()
-                .map(|r| r.restore().map_err(|e| format!("shard {s}: {e}")))
-                .transpose()
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let shadow = match (&c.pipeline, &plan.initial_program) {
-        (Some(state), Some(program)) => {
-            let mut p = program.clone();
-            p.restore_state(state)
-                .map_err(|e| format!("cannot restore data-plane state: {e}"))?;
-            Some(p)
-        }
-        (Some(_), None) => {
-            return Err(String::from(
-                "checkpoint carries data-plane state; supply the program via the plan's \
-                 initial_program",
-            ))
-        }
-        (None, p) => p.clone(),
-    };
-    let (ensemble, drill) = c.rebuild_detection(cfg);
-    // Checkpoints written after this resume embed the stored spec, not
-    // whatever the caller had in the plan.
-    let mut plan = plan.clone();
-    plan.faults_spec = c.faults_spec.clone();
-    let resume = lifecycle::ResumeState {
-        next_ordinal: c.next_ordinal,
-        next_checkpoint_ordinal: c.checkpoint_ordinal + 1,
-        packets: c.packets,
-        epochs: c.epochs,
-        packets_rerouted: c.packets_rerouted,
-        reports_dropped: c.reports_dropped,
-        carried_syns: c.carried_syns,
-        carried_packets: c.carried_packets,
-        carried_len_sum: c.carried_len_sum,
-        carried_epochs: c.carried_epochs,
-        carried_from: c.carried_from.clone(),
-        alive: c.alive.clone(),
-        states,
-        incidents: c.incidents.clone(),
-        ensemble,
-        drill,
-        context_log: c.context_log.clone(),
-        overrides: c.overrides.clone(),
-        provenance: c.provenance.clone(),
-        generation: c.generation,
-        swaps_committed: c.swaps_committed,
-        shadow,
-        resumed_from: Some(c.checkpoint_ordinal),
-        fallbacks,
-    };
-    Ok(pool::run(schedule, cfg, &faults, &plan, Some(resume)))
+    let coordinator = EpochCoordinator::resume(schedule, cfg, plan, c, fallbacks)?;
+    Ok(pool::run(coordinator))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coordinator::{closed_interval_syns, median_len_signal};
     use workloads::SynFloodWorkload;
 
     fn small_flood() -> Schedule {
@@ -1126,10 +983,11 @@ mod tests {
         let cfg_a = ReplayConfig::default();
         let mut cfg_b = cfg_a;
         cfg_b.detector.kinds = cfg_a.detector.kinds + 4;
-        let shards = vec![ShardState::new(&cfg_a), ShardState::new(&cfg_b)];
+        let shards = [ShardState::new(&cfg_a), ShardState::new(&cfg_b)];
+        let entries: Vec<(usize, &ShardState)> = shards.iter().enumerate().collect();
         let mut alive = vec![true, true];
         let mut incidents = Vec::new();
-        let merged = merge_surviving(&shards, &mut alive, &cfg_a, 7, &mut incidents);
+        let merged = merge_surviving(&entries, &mut alive, &cfg_a, 7, &mut incidents);
         assert!(alive[0] && !alive[1]);
         assert_eq!(incidents.len(), 1);
         assert_eq!(incidents[0].shard, 1);

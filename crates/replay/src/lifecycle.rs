@@ -39,11 +39,8 @@
 //! snapshot surface: recovery must be able to prove bit-identity of
 //! the outcome, so lifecycle chatter gets its own document.
 
-use crate::ckpt::{ContextEntry, OverrideEntry};
-use crate::provenance::AlertProvenanceRecord;
 use crate::snapshot::{obj, opt_u64, req_arr, req_str, req_u64};
-use crate::{ShardIncident, ShardState};
-use anomaly::{Ensemble, ScoreDrilldown};
+use anomaly::Ensemble;
 use p4sim::{check_equivalence, vet_rebind, Pipeline, RuntimeRequest, SymbolicOptions};
 use std::path::PathBuf;
 use telemetry::json::render;
@@ -308,7 +305,7 @@ pub(crate) fn vet_swap(
 // ---- plan -----------------------------------------------------------
 
 /// Everything the caller wants the lifecycle layer to do during one
-/// `pool::run`. [`LifecyclePlan::none`] is the zero-cost default every
+/// replay run. [`LifecyclePlan::none`] is the zero-cost default every
 /// plain replay uses.
 #[derive(Debug, Clone, Default)]
 pub struct LifecyclePlan {
@@ -339,72 +336,6 @@ impl LifecyclePlan {
     #[must_use]
     pub fn none() -> Self {
         Self::default()
-    }
-}
-
-/// State handed to `pool::run` when continuing from a checkpoint —
-/// everything the run loop would otherwise initialise fresh.
-pub(crate) struct ResumeState {
-    pub(crate) next_ordinal: usize,
-    pub(crate) next_checkpoint_ordinal: u64,
-    pub(crate) packets: u64,
-    pub(crate) epochs: u64,
-    pub(crate) packets_rerouted: u64,
-    pub(crate) reports_dropped: u64,
-    pub(crate) carried_syns: i64,
-    pub(crate) carried_packets: i64,
-    pub(crate) carried_len_sum: i64,
-    pub(crate) carried_epochs: i64,
-    pub(crate) carried_from: Vec<u64>,
-    pub(crate) alive: Vec<bool>,
-    pub(crate) states: Vec<Option<ShardState>>,
-    pub(crate) incidents: Vec<ShardIncident>,
-    pub(crate) ensemble: Ensemble,
-    pub(crate) drill: ScoreDrilldown,
-    pub(crate) context_log: Vec<ContextEntry>,
-    pub(crate) overrides: Vec<OverrideEntry>,
-    pub(crate) provenance: Vec<AlertProvenanceRecord>,
-    pub(crate) generation: u64,
-    pub(crate) swaps_committed: u64,
-    pub(crate) shadow: Option<Pipeline>,
-    /// Ordinal of the checkpoint this resume loaded; `None` marks a
-    /// fresh (non-resumed) run.
-    pub(crate) resumed_from: Option<u64>,
-    /// Fallback notes from the checkpoint loader (rejected newer
-    /// files), surfaced as events.
-    pub(crate) fallbacks: Vec<String>,
-}
-
-impl ResumeState {
-    /// The initial state of a fresh run — what `pool::run` used to
-    /// build inline before resume existed.
-    pub(crate) fn fresh(cfg: &crate::ReplayConfig) -> Self {
-        Self {
-            next_ordinal: 0,
-            next_checkpoint_ordinal: 0,
-            packets: 0,
-            epochs: 0,
-            packets_rerouted: 0,
-            reports_dropped: 0,
-            carried_syns: 0,
-            carried_packets: 0,
-            carried_len_sum: 0,
-            carried_epochs: 0,
-            carried_from: Vec::new(),
-            alive: vec![true; cfg.shards],
-            states: (0..cfg.shards).map(|_| Some(ShardState::new(cfg))).collect(),
-            incidents: Vec::new(),
-            ensemble: crate::build_ensemble(cfg),
-            drill: ScoreDrilldown::new(cfg.ensemble.trigger),
-            context_log: Vec::new(),
-            overrides: Vec::new(),
-            provenance: Vec::new(),
-            generation: 0,
-            swaps_committed: 0,
-            shadow: None,
-            resumed_from: None,
-            fallbacks: Vec::new(),
-        }
     }
 }
 

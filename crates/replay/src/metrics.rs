@@ -165,10 +165,6 @@ pub struct ReplayTelemetry {
     /// clamped to 0 for the detectors (previously swallowed by
     /// `unwrap_or`).
     pub syn_clamps: Counter,
-    /// Portion of each epoch's partition time that overlapped worker
-    /// ingest — the pool's pipelining win; zero on the reference
-    /// engine, which partitions serially between barriers.
-    pub overlap_ns: LogLinearHistogram,
     /// Bound of the per-shard dispatch queues (0 = unqueued reference
     /// engine).
     pub queue_capacity: u64,
@@ -189,7 +185,7 @@ pub struct ReplayTelemetry {
     /// One bounded tracer per shard, sharing the coordinator's time
     /// origin — workers record their ingest/queue-wait spans into
     /// their own buffer (handed off through the dispatch channel on
-    /// the pool engine; borrowed in-scope on the reference engine).
+    /// the pool engine; used in place by the sequential oracle).
     /// [`Self::merged_trace`] folds them with the coordinator's.
     pub shard_traces: Vec<Tracer>,
     /// Total wall time of the replay, ns.
@@ -226,7 +222,6 @@ impl ReplayTelemetry {
             merge_rebuilds: Counter::new(),
             median_fallbacks: Counter::new(),
             syn_clamps: Counter::new(),
-            overlap_ns: LogLinearHistogram::default(),
             queue_capacity: 0,
             checkpoints_written: Counter::new(),
             ckpt_write_ns: LogLinearHistogram::default(),
@@ -454,12 +449,6 @@ impl ReplayTelemetry {
             &[],
             self.syn_clamps.get(),
         );
-        snap.push_histogram(
-            "replay_overlap_ns",
-            "partition time overlapped with worker ingest per epoch",
-            &[],
-            &self.overlap_ns,
-        );
         snap.push_gauge(
             "replay_queue_capacity",
             "bound of the per-shard dispatch queues (0 = unqueued engine)",
@@ -653,7 +642,6 @@ mod tests {
         t.shards[0].queue_depth.record(1);
         t.shards[1].queue_depth.record(2);
         t.partition_ns.record(12_000);
-        t.overlap_ns.record(9_000);
         t.queue_capacity = 2;
         let snap = t.snapshot();
         let text = telemetry::render_prometheus(&snap);
@@ -662,7 +650,6 @@ mod tests {
             "replay_shard_queue_depth",
             "replay_shard_queue_depth_max",
             "replay_partition_ns",
-            "replay_overlap_ns",
             "replay_queue_capacity",
         ] {
             assert!(text.contains(name), "{name} missing from exposition");

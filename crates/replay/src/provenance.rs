@@ -101,9 +101,9 @@ pub struct AlertProvenanceRecord {
 }
 
 impl AlertProvenanceRecord {
-    /// Captures one record at the detect site. Both replay engines
-    /// call this with identical inputs, which is what keeps provenance
-    /// on the bit-identity surface.
+    /// Captures one record at the detect site. The epoch coordinator
+    /// calls this for both replay engines with identical inputs, which
+    /// is what keeps provenance on the bit-identity surface.
     #[must_use]
     pub fn capture(
         id: u64,

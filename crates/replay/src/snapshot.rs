@@ -263,7 +263,7 @@ fn cause_json(c: &TriggerCause) -> Json {
     }
 }
 
-fn signals_json(s: &SignalValues) -> Json {
+pub(crate) fn signals_json(s: &SignalValues) -> Json {
     obj(vec![
         ("at", ju(s.at)),
         ("epoch", ju(s.epoch)),
@@ -546,22 +546,25 @@ fn parse_incident(v: &Json, path: &str) -> Result<IncidentRef, String> {
     })
 }
 
+/// Parses a [`signals_json`] object.
+pub(crate) fn parse_signals(v: &Json, path: &str) -> Result<SignalValues, String> {
+    Ok(SignalValues {
+        at: req_u64(v, "at", path)?,
+        epoch: req_u64(v, "epoch", path)?,
+        interval_ns: req_u64(v, "interval_ns", path)?,
+        spanned: req_i64(v, "spanned", path)?,
+        packets: req_i64(v, "packets", path)?,
+        syns: req_i64(v, "syns", path)?,
+        len_sum: req_i64(v, "len_sum", path)?,
+        distinct_sources: req_i64(v, "distinct_sources", path)?,
+        median_len: req_i64(v, "median_len", path)?,
+    })
+}
+
 pub(crate) fn parse_record(v: &Json, path: &str) -> Result<AlertProvenanceRecord, String> {
     let prov = req(v, "provenance", path)?;
     let ppath = format!("{path}.provenance");
-    let sig = req(prov, "signals", &ppath)?;
-    let spath = format!("{ppath}.signals");
-    let signals = SignalValues {
-        at: req_u64(sig, "at", &spath)?,
-        epoch: req_u64(sig, "epoch", &spath)?,
-        interval_ns: req_u64(sig, "interval_ns", &spath)?,
-        spanned: req_i64(sig, "spanned", &spath)?,
-        packets: req_i64(sig, "packets", &spath)?,
-        syns: req_i64(sig, "syns", &spath)?,
-        len_sum: req_i64(sig, "len_sum", &spath)?,
-        distinct_sources: req_i64(sig, "distinct_sources", &spath)?,
-        median_len: req_i64(sig, "median_len", &spath)?,
-    };
+    let signals = parse_signals(req(prov, "signals", &ppath)?, &format!("{ppath}.signals"))?;
     let engines = req_arr(prov, "engines", &ppath)?
         .iter()
         .enumerate()
