@@ -1351,7 +1351,6 @@ fn error_kind(e: &P4Error) -> &'static str {
         P4Error::EntryNotFound { .. } => "entry-not-found",
         P4Error::ActionDataOutOfBounds { .. } => "action-data-out-of-bounds",
         P4Error::Invalid { .. } => "invalid",
-        P4Error::ShardPanicked { .. } => "shard-panicked",
     }
 }
 

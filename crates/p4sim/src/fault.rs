@@ -188,7 +188,6 @@ mod tests {
             width_bits: width,
             cells: vec![0; cells],
             merge: crate::pipeline::RegMerge::Sum,
-            journal: stat4_core::delta::DirtyJournal::new(),
         }
     }
 

@@ -45,6 +45,19 @@
 //! against a target, and executed packet by packet. Digests (the P4
 //! mechanism for pushing alerts to the controller) are collected in each
 //! packet's [`pipeline::PacketOutcome`].
+//!
+//! ## One pipe
+//!
+//! A [`pipeline::Pipeline`] is one switch pipe, as in the paper: the
+//! interpreter has no notion of shards. Each register still declares a
+//! [`pipeline::RegMerge`] policy, the algebra under which its per-pipe
+//! cells *would* fold if traffic were split; the `S4L015` check
+//! ([`analysis::check_merge_soundness`]) checks the register's update
+//! function against it. The sharded replay engine (the `replay` crate)
+//! runs `stat4-core` trackers, not this interpreter; there a pipeline
+//! serves as the shadow model that vets hot swaps, and its state moves
+//! through checkpoints via [`pipeline::Pipeline::export_state`] /
+//! [`pipeline::Pipeline::restore_state`].
 
 #![forbid(unsafe_code)]
 
@@ -53,12 +66,10 @@ pub mod action;
 pub mod control;
 pub mod error;
 pub mod fault;
-pub mod metrics;
 pub mod parser;
 pub mod phv;
 pub mod pipeline;
 pub mod program;
-pub mod replay;
 pub mod resources;
 pub mod runtime;
 pub mod table;
@@ -73,15 +84,10 @@ pub use analysis::{
 pub use control::{Cond, Control};
 pub use error::{P4Error, P4Result};
 pub use fault::{FaultHook, MissWindow, ScheduledFaults, SeuEvent, SeuRecovery};
-pub use metrics::PipelineMetrics;
 pub use parser::parse_frame;
 pub use phv::{FieldId, Phv};
 pub use pipeline::{PacketOutcome, Pipeline, PipelineState, RegMerge};
 pub use program::ProgramBuilder;
-pub use replay::{
-    apply_register_delta, merge_registers, EpochReport, PipelineDelta, RegisterDelta,
-    ShardedPipeline,
-};
 pub use resources::ResourceReport;
 pub use runtime::{RuntimeRequest, RuntimeResponse};
 pub use table::{Entry, MatchKind, MatchValue, TableDef};

@@ -10,12 +10,13 @@ use crate::phv::{fields, Phv, DROP_PORT};
 use crate::table::Table;
 use crate::target::TargetModel;
 use serde::{Deserialize, Serialize};
-use stat4_core::delta::DirtyJournal;
 
-/// How one register's per-shard state folds into a whole-switch view
-/// during sharded replay (`crate::replay::merge_registers`), and the
-/// algebra the merge-soundness check (`S4L015`) verifies the register's
-/// update function against.
+/// How one register's per-pipe state would fold into a whole-switch
+/// view if its traffic were split across pipes: the algebra the
+/// merge-soundness check (`S4L015`) verifies the register's update
+/// function against. The interpreter itself runs one pipe; the
+/// `symbolic_differential` tests fold split runs with
+/// [`RegMerge::combine`] to check the verdict concretely.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RegMerge {
     /// Cellwise wrapping addition masked to the register width — the
@@ -49,7 +50,7 @@ impl RegMerge {
 }
 
 /// A stateful register array.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Register {
     /// Name for reports.
     pub name: String,
@@ -60,25 +61,7 @@ pub struct Register {
     /// Declared cross-shard merge policy (see [`RegMerge`]).
     #[serde(default)]
     pub merge: RegMerge,
-    /// Cells written since the last [`Pipeline::take_register_delta`]
-    /// — the changed-register-span journal behind sparse cross-shard
-    /// merges. Bookkeeping, not identity: excluded from eq and serde.
-    #[serde(skip, default)]
-    pub(crate) journal: DirtyJournal,
 }
-
-/// Equality is over the declared shape and cell contents only — the
-/// dirty journal is bookkeeping, not identity.
-impl PartialEq for Register {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.width_bits == other.width_bits
-            && self.cells == other.cells
-            && self.merge == other.merge
-    }
-}
-
-impl Eq for Register {}
 
 impl Register {
     pub(crate) fn mask(&self) -> u64 {
@@ -89,12 +72,8 @@ impl Register {
         }
     }
 
-    /// The one journaled write path: records the cell's pre-write value
-    /// on first touch, then writes `v` masked to the register width.
-    /// Every interpreter/controller mutation funnels through here so
-    /// register deltas stay complete.
+    /// Writes `v` into cell `i`, masked to the register width.
     pub(crate) fn write_cell(&mut self, i: usize, v: u64) {
-        self.journal.mark(i, self.cells[i]);
         self.cells[i] = v & self.mask();
     }
 }
@@ -152,12 +131,6 @@ pub struct Pipeline {
     pub(crate) control: Control,
     pub(crate) packets_processed: u64,
     pub(crate) fault_hook: Option<Box<dyn FaultHook>>,
-    /// `packets_processed` at the last [`Self::take_register_delta`].
-    pub(crate) taken_packets: u64,
-    /// Set when a fault hook has run: hooks mutate registers directly
-    /// (bypassing the journal), so pending deltas are unreliable and
-    /// the next take must signal "full merge required".
-    pub(crate) hook_touched: bool,
 }
 
 impl Pipeline {
@@ -176,8 +149,6 @@ impl Pipeline {
             control,
             packets_processed: 0,
             fault_hook: None,
-            taken_packets: 0,
-            hook_touched: false,
         }
     }
 
@@ -185,12 +156,6 @@ impl Pipeline {
     /// hook sees every subsequent packet; see [`crate::fault`].
     pub fn set_fault_hook(&mut self, hook: Option<Box<dyn FaultHook>>) {
         self.fault_hook = hook;
-    }
-
-    /// The installed fault hook, if any (telemetry reads its counters).
-    #[must_use]
-    pub fn fault_hook(&self) -> Option<&dyn FaultHook> {
-        self.fault_hook.as_deref()
     }
 
     /// The target this program was validated against.
@@ -267,57 +232,9 @@ impl Pipeline {
             for (dst, src) in reg.cells.iter_mut().zip(cells) {
                 *dst = src & mask;
             }
-            // A restore replaces the whole file: re-base the journal so
-            // the next delta is relative to the restored state (a
-            // consumer must full-merge once before trusting deltas).
-            reg.journal.clear();
         }
         self.packets_processed = state.packets_processed;
-        self.taken_packets = state.packets_processed;
         Ok(())
-    }
-
-    /// Drains the per-register dirty journals into a
-    /// [`crate::replay::PipelineDelta`] — the changed-register spans
-    /// since the last take — and re-bases them.
-    ///
-    /// Returns `None` when the delta cannot be trusted: a fault hook is
-    /// installed or has run since the last take. Hooks mutate the
-    /// register file directly ([`crate::fault::FaultHook::before_packet`]
-    /// takes `&mut [Register]`), bypassing the journal, so the only
-    /// sound answer is "do a full merge this round". The journals are
-    /// re-based either way, so a later fault-free window deltas cleanly
-    /// after one full rebuild.
-    pub fn take_register_delta(&mut self) -> Option<crate::replay::PipelineDelta> {
-        let tainted = self.hook_touched || self.fault_hook.is_some();
-        self.hook_touched = false;
-        let packets_base = self.taken_packets;
-        self.taken_packets = self.packets_processed;
-        let mut regs = Vec::new();
-        for (i, r) in self.registers.iter_mut().enumerate() {
-            let touched = r.journal.take();
-            if !tainted && !touched.is_empty() {
-                let cells = touched
-                    .into_iter()
-                    .map(|(idx, base)| (idx, base, r.cells[idx as usize]))
-                    .collect();
-                regs.push(crate::replay::RegisterDelta { register: i, cells });
-            }
-        }
-        if tainted {
-            return None;
-        }
-        Some(crate::replay::PipelineDelta {
-            regs,
-            packets_base,
-            packets_cur: self.packets_processed,
-        })
-    }
-
-    /// Drops pending journal entries and re-bases, without building the
-    /// delta — what a coordinator does right after a full merge.
-    pub fn discard_register_delta(&mut self) {
-        let _ = self.take_register_delta();
     }
 
     /// Read-only table access.
@@ -365,7 +282,6 @@ impl Pipeline {
         if let Some(mut hook) = self.fault_hook.take() {
             hook.before_packet(self.packets_processed, &mut self.registers);
             self.fault_hook = Some(hook);
-            self.hook_touched = true;
         }
         let control = self.control.clone();
         self.exec_control(&control, phv, &mut outcome)?;
@@ -859,6 +775,20 @@ mod tests {
         let mut phv = Phv::new();
         p.process_phv(&mut phv).unwrap();
         assert_eq!(p.registers()[0].cells[0], 0xff, "masked to 8 bits");
+    }
+
+    #[test]
+    fn regmerge_combine_wraps_at_register_width() {
+        let mask = 0xffff;
+        // Two pipes each counted 40,000 into a 16-bit cell; one pipe
+        // that saw all 80,000 holds 80,000 mod 2^16. Sum folds the
+        // wrapped halves to exactly that.
+        let (a, b) = (40_000 & mask, 40_000 & mask);
+        assert_eq!(RegMerge::Sum.combine(a, b, mask), 80_000 & mask);
+        assert_eq!(RegMerge::Sum.combine(0xfff0, 0x20, mask), 0x10);
+        assert_eq!(RegMerge::SatSum.combine(0xfff0, 0x20, mask), mask);
+        assert_eq!(RegMerge::Max.combine(0xfff0, 0x20, mask), 0xfff0);
+        assert_eq!(RegMerge::None.combine(0x20, 0xfff0, mask), 0x20);
     }
 
     #[test]

@@ -44,7 +44,6 @@ impl ProgramBuilder {
             width_bits: width_bits.min(64),
             cells: vec![0; size],
             merge: RegMerge::Sum,
-            journal: stat4_core::delta::DirtyJournal::new(),
         });
         self.registers.len() - 1
     }

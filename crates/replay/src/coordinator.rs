@@ -238,6 +238,7 @@ impl<'a> EpochCoordinator<'a> {
     ///
     /// - the checkpoint disagrees with `cfg` (shards, batch, interval)
     ///   or with the schedule's length;
+    /// - a shard marked alive has no stored state;
     /// - the stored fault spec no longer parses;
     /// - the checkpoint carries data-plane register state but the plan
     ///   supplies no `initial_program` to restore it into;
@@ -262,6 +263,12 @@ impl<'a> EpochCoordinator<'a> {
                 c.alive.len(),
                 c.shards.len(),
                 cfg.shards
+            ));
+        }
+        if let Some(s) = (0..cfg.shards).find(|&s| c.alive[s] && c.shards[s].is_none()) {
+            return Err(format!(
+                "$.payload.shards[{s}] is null, but alive[{s}] says shard {s} is live and \
+                 needs its tracker state"
             ));
         }
         if c.cfg_interval_ns != cfg.detector.interval_ns {

@@ -1,10 +1,13 @@
 //! # replay
 //!
 //! A batched, multi-threaded packet-replay engine that shards traffic
-//! across N worker pipelines — the software model of a multi-pipe
-//! switch running the paper's Stat4 programs, one pipeline per ingress
-//! pipe, with the control plane periodically folding per-pipe state
-//! into a global view.
+//! across N workers — the software model of a multi-pipe switch, one
+//! worker per ingress pipe, with the control plane periodically folding
+//! per-pipe state into a global view. Each worker runs the native
+//! `stat4-core` trackers (frequency distribution, running moments,
+//! count-min sketch, percentile markers, HyperLogLog), not the p4sim
+//! interpreter; a p4sim pipeline appears only as the shadow model that
+//! vets hot swaps ([`lifecycle`]).
 //!
 //! ## Architecture
 //!

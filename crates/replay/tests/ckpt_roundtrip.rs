@@ -1,13 +1,24 @@
-//! Property: every checkpoint a real run writes — across shard
-//! counts, chaos seeds, and kill points — parses back and re-renders
-//! byte-identically. The serialized form IS the canonical form; any
-//! drift between writer and parser shows up here as a one-byte diff.
+//! Properties of the checkpoints a real run writes:
+//!
+//! - across shard counts, chaos seeds and kill points, each parses back
+//!   and re-renders byte-identically. The serialized form IS the
+//!   canonical form; any drift between writer and parser shows up here
+//!   as a one-byte diff;
+//! - a payload mutated past the checksum (a key dropped, a value
+//!   retyped, an array resized, a live shard's state nulled) and then
+//!   resealed is refused with an error by parse or resume, never a
+//!   panic.
+
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use faultinject::FaultSchedule;
 use replay::ckpt;
-use replay::{run_replay_lifecycle, LifecyclePlan, ReplayConfig};
+use replay::{resume_from_checkpoint, run_replay_lifecycle, LifecyclePlan, ReplayConfig};
+use telemetry::json::render;
+use telemetry::Json;
 use workloads::{Schedule, SynFloodWorkload};
 
 fn tiny_flood(seed: u64) -> Schedule {
@@ -69,5 +80,172 @@ proptest! {
         }
         prop_assert_eq!(files as u64, report.checkpoints_written);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+const SHARDS: usize = 2;
+
+fn resume_plan(dir: &Path) -> LifecyclePlan {
+    LifecyclePlan {
+        checkpoint_dir: Some(dir.to_path_buf()),
+        ..LifecyclePlan::none()
+    }
+}
+
+/// The newest checkpoint of a 2-shard run killed at epoch 5, as
+/// `(file name, text)`, written once per test binary.
+fn real_checkpoint() -> &'static (String, String) {
+    static CKPT: OnceLock<(String, String)> = OnceLock::new();
+    CKPT.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("replay-ckpt-src-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let plan = LifecyclePlan {
+            checkpoint_every: 2,
+            kill_at_epoch: Some(5),
+            ..resume_plan(&dir)
+        };
+        let cfg = ReplayConfig { shards: SHARDS, ..ReplayConfig::default() };
+        let (_, report) = run_replay_lifecycle(&tiny_flood(0), &cfg, &FaultSchedule::none(), &plan);
+        assert!(report.checkpoints_written >= 1, "the run wrote a checkpoint");
+        let mut files: Vec<PathBuf> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        files.sort();
+        let newest = files.pop().unwrap();
+        let name = newest.file_name().unwrap().to_str().unwrap().to_string();
+        let text = std::fs::read_to_string(&newest).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        (name, text)
+    })
+}
+
+fn member<'a>(v: &'a mut Json, key: &str) -> &'a mut Json {
+    let Json::Obj(members) = v else { panic!("not an object") };
+    &mut members.iter_mut().find(|(k, _)| k == key).expect("key present").1
+}
+
+fn items(v: &mut Json) -> &mut Vec<Json> {
+    let Json::Arr(items) = v else { panic!("not an array") };
+    items
+}
+
+fn keys(v: &Json) -> Vec<String> {
+    v.as_obj().expect("object").iter().map(|(k, _)| k.clone()).collect()
+}
+
+fn drop_key(v: &mut Json, key: &str) {
+    let Json::Obj(members) = v else { panic!("not an object") };
+    members.retain(|(k, _)| k != key);
+}
+
+fn retype(v: &mut Json) {
+    *v = if matches!(v, Json::Str(_)) { Json::Int(7) } else { Json::Str("mutated".into()) };
+}
+
+/// One way to break a payload while keeping it well-formed JSON.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    DropKey,
+    Retype,
+    DropShardKey,
+    RetypeShardKey,
+    Resize,
+    NullLiveShard,
+}
+
+const MUTATIONS: [Mutation; 6] = [
+    Mutation::DropKey,
+    Mutation::Retype,
+    Mutation::DropShardKey,
+    Mutation::RetypeShardKey,
+    Mutation::Resize,
+    Mutation::NullLiveShard,
+];
+
+/// Applies `m` to `payload`, steered by `pick`. Returns the location
+/// the refusal must name, where the check owns one.
+fn mutate(payload: &mut Json, m: Mutation, pick: usize) -> Option<String> {
+    let top = keys(payload);
+    let s = pick % SHARDS;
+    match m {
+        Mutation::DropKey => {
+            drop_key(payload, &top[pick % top.len()]);
+            Some("$.payload".into())
+        }
+        Mutation::Retype => {
+            retype(member(payload, &top[pick % top.len()]));
+            Some("$.payload".into())
+        }
+        Mutation::DropShardKey | Mutation::RetypeShardKey => {
+            let shard = &mut items(member(payload, "shards"))[s];
+            let k = keys(shard);
+            let key = &k[pick % k.len()];
+            if matches!(m, Mutation::DropShardKey) {
+                drop_key(shard, key);
+            } else {
+                retype(member(shard, key));
+            }
+            Some(format!("$.payload.shards[{s}]"))
+        }
+        Mutation::Resize => {
+            let arr = match pick % 5 {
+                0 => member(payload, "alive"),
+                1 => member(payload, "shards"),
+                k => member(
+                    &mut items(member(payload, "shards"))[s],
+                    ["sk_cells", "hll_registers", "pc_counts"][k - 2],
+                ),
+            };
+            let arr = items(arr);
+            if (pick / 5).is_multiple_of(2) {
+                arr.pop();
+            } else {
+                arr.push(arr[0].clone());
+            }
+            None
+        }
+        Mutation::NullLiveShard => {
+            items(member(payload, "alive"))[s] = Json::Bool(true);
+            items(member(payload, "shards"))[s] = Json::Null;
+            Some(format!("$.payload.shards[{s}]"))
+        }
+    }
+}
+
+/// Re-renders `doc` with its checksum recomputed over the payload, so
+/// the mutation gets past the torn-write check.
+fn reseal(doc: &mut Json) -> String {
+    let sum = ckpt::fnv1a64(render(member(doc, "payload")).as_bytes());
+    *member(doc, "checksum") = Json::Str(format!("{sum:016x}"));
+    render(doc)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn resealed_malformed_checkpoints_are_refused(pick in any::<usize>()) {
+        let (name, text) = real_checkpoint();
+        let schedule = tiny_flood(0);
+        let cfg = ReplayConfig { shards: SHARDS, ..ReplayConfig::default() };
+        let dir = std::env::temp_dir().join(format!(
+            "replay-ckpt-bad-{}-{pick}",
+            std::process::id()
+        ));
+        for m in MUTATIONS {
+            let mut doc = Json::parse(text).unwrap();
+            let must_name = mutate(member(&mut doc, "payload"), m, pick);
+            let sealed = reseal(&mut doc);
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(name), &sealed).unwrap();
+            let result = resume_from_checkpoint(&schedule, &cfg, &resume_plan(&dir));
+            std::fs::remove_dir_all(&dir).ok();
+            let Err(e) = result else {
+                return Err(TestCaseError::fail(format!("{m:?} (pick {pick}) resumed")));
+            };
+            if let Some(path) = must_name {
+                prop_assert!(e.contains(&path), "{:?}: error does not name {}: {}", m, path, e);
+            }
+        }
     }
 }

@@ -222,6 +222,10 @@ impl CaseStudyApp {
         b.set_register_merge(rate_state_reg, RegMerge::None);
         b.set_register_merge(suppress_reg, RegMerge::None);
         b.set_register_merge(generation_reg, RegMerge::None);
+        // N and Xsumsq are functions of the whole counter file (distinct
+        // values, sum of squared counts), not cellwise sums.
+        b.set_register_merge(n_reg, RegMerge::None);
+        b.set_register_merge(xsumsq_reg, RegMerge::None);
 
         // ---- 0. rate binding table -----------------------------------
         // Stat4's architecture: even "track the rate of the /8" is a

@@ -90,6 +90,12 @@ impl EchoApp {
         // additive state: merging shards by summing them would be wrong.
         b.set_register_merge(var_reg, RegMerge::None);
         b.set_register_merge(sd_reg, RegMerge::None);
+        // N counts distinct values and Xsumsq sums squared counts; both
+        // are functions of the whole counter file, so two pipes that saw
+        // the same value overcount N and undercount Xsumsq when summed.
+        // They are rebuilt from the merged counters instead.
+        b.set_register_merge(n_reg, RegMerge::None);
+        b.set_register_merge(xsumsq_reg, RegMerge::None);
 
         // Binding-table action: extract the payload integer, shift it
         // into the cell domain, then run the frequency update. Action

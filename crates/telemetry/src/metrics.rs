@@ -3,8 +3,7 @@
 //! These are the per-shard building blocks: single-owner structs whose
 //! updates are one integer add — no atomics, no locks, no allocation —
 //! and whose cross-shard reduction is the same [`Mergeable`] fold the
-//! Stat4 trackers use at epoch barriers. For *shared* (multi-writer)
-//! metrics see [`crate::registry`].
+//! Stat4 trackers use at epoch barriers.
 
 use stat4_core::{Mergeable, Stat4Result};
 
