@@ -361,17 +361,6 @@ impl Ensemble {
         }
     }
 
-    /// Current weight overrides keyed by engine name (checkpoint
-    /// export).
-    #[must_use]
-    pub fn weight_overrides(&self) -> Vec<(&'static str, Option<i64>)> {
-        self.engines
-            .iter()
-            .zip(&self.weight_overrides)
-            .map(|(e, w)| (e.name(), *w))
-            .collect()
-    }
-
     /// Engine names in report order.
     #[must_use]
     pub fn names(&self) -> Vec<&'static str> {
@@ -524,10 +513,6 @@ mod tests {
         assert!(e.set_weight_override("cold", Some(0)));
         let skewed = e.observe(&ctx_at(20, &kinds, &stats)).combined_q16;
         assert_eq!(skewed, 2 * Q16, "silenced engine no longer dilutes");
-        assert_eq!(
-            e.weight_overrides(),
-            vec![("hot", None), ("cold", Some(0))]
-        );
 
         assert!(e.set_weight_override("cold", None));
         let restored = e.observe(&ctx_at(30, &kinds, &stats)).combined_q16;

@@ -30,7 +30,7 @@ pub mod stages;
 pub mod symbolic;
 pub mod tdg;
 
-pub use diag::{json_string, Diagnostic, LintCode, Severity};
+pub use diag::{Diagnostic, LintCode, Severity};
 pub use range::{analyze_ranges, Interval, RangeSummary};
 pub use stages::{allocate, StageAllocation, StageUse};
 pub use symbolic::{
@@ -39,6 +39,7 @@ pub use symbolic::{
     MergeReport, RebindReport, SymbolicOptions, Witness,
 };
 pub use tdg::{DepKind, NodeKind, TableDepGraph, TdgEdge, TdgNode};
+pub use telemetry::json_string;
 
 use crate::action::{Operand, Primitive};
 use crate::pipeline::Pipeline;

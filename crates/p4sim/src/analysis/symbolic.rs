@@ -42,7 +42,8 @@
 //! diagnostic (`S4L014`), never a silent cap.
 
 use crate::action::{Operand, Primitive};
-use crate::analysis::diag::{json_string, Diagnostic, LintCode, Severity};
+use crate::analysis::diag::{Diagnostic, LintCode, Severity};
+use crate::analysis::json_string;
 use crate::analysis::verify_against;
 use crate::control::{CmpOp, Control};
 use crate::error::P4Error;

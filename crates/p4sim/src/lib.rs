@@ -54,10 +54,7 @@
 //! cells *would* fold if traffic were split; the `S4L015` check
 //! ([`analysis::check_merge_soundness`]) checks the register's update
 //! function against it. The sharded replay engine (the `replay` crate)
-//! runs `stat4-core` trackers, not this interpreter; there a pipeline
-//! serves as the shadow model that vets hot swaps, and its state moves
-//! through checkpoints via [`pipeline::Pipeline::export_state`] /
-//! [`pipeline::Pipeline::restore_state`].
+//! runs `stat4-core` trackers, not this interpreter.
 
 #![forbid(unsafe_code)]
 

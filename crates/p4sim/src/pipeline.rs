@@ -108,11 +108,9 @@ pub struct PacketOutcome {
 }
 
 /// A snapshot of a pipeline's mutable state — every register cell plus
-/// the packet counter — for crash-recovery checkpoints and hot-swap
-/// shadow transfer. The static definition (tables, actions, control
-/// tree) is deliberately not captured: a restore target is a fresh
-/// build of the same program, and [`Pipeline::restore_state`] verifies
-/// the register file lines up before touching anything.
+/// the packet counter — for comparing two runs of a program (the
+/// split-trace merge test in `stat4-p4`). The static definition
+/// (tables, actions, control tree) is deliberately not captured.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineState {
     /// `(register name, cells)` in declaration order.
@@ -178,7 +176,7 @@ impl Pipeline {
     }
 
     /// Captures the pipeline's mutable state (register cells + packet
-    /// counter) for a checkpoint; see [`PipelineState`].
+    /// counter); see [`PipelineState`].
     #[must_use]
     pub fn export_state(&self) -> PipelineState {
         PipelineState {
@@ -189,52 +187,6 @@ impl Pipeline {
                 .collect(),
             packets_processed: self.packets_processed,
         }
-    }
-
-    /// Restores state previously captured by [`Pipeline::export_state`]
-    /// from a pipeline running the same program. All-or-nothing: the
-    /// register file (names, order, cell counts) is validated in full
-    /// before any cell is written, so a mismatched snapshot leaves the
-    /// pipeline untouched. Restored cells are masked to the declared
-    /// register width.
-    ///
-    /// # Errors
-    ///
-    /// [`P4Error::Invalid`] naming the first mismatched register.
-    pub fn restore_state(&mut self, state: &PipelineState) -> P4Result<()> {
-        if state.registers.len() != self.registers.len() {
-            return Err(P4Error::Invalid {
-                what: format!(
-                    "state snapshot has {} register(s), program declares {}",
-                    state.registers.len(),
-                    self.registers.len()
-                ),
-            });
-        }
-        for (reg, (name, cells)) in self.registers.iter().zip(&state.registers) {
-            if reg.name != *name {
-                return Err(P4Error::Invalid {
-                    what: format!("state register `{name}` where program declares `{}`", reg.name),
-                });
-            }
-            if reg.cells.len() != cells.len() {
-                return Err(P4Error::Invalid {
-                    what: format!(
-                        "register `{name}`: snapshot has {} cell(s), program declares {}",
-                        cells.len(),
-                        reg.cells.len()
-                    ),
-                });
-            }
-        }
-        for (reg, (_, cells)) in self.registers.iter_mut().zip(&state.registers) {
-            let mask = reg.mask();
-            for (dst, src) in reg.cells.iter_mut().zip(cells) {
-                *dst = src & mask;
-            }
-        }
-        self.packets_processed = state.packets_processed;
-        Ok(())
     }
 
     /// Read-only table access.
@@ -661,29 +613,20 @@ mod tests {
     }
 
     #[test]
-    fn state_export_restore_round_trips() {
+    fn state_export_captures_every_register() {
         let mut live = counting_pipeline();
         for i in 0..5u64 {
             let mut phv = phv_to(0x0a01_0203, 100 + i);
             live.process_phv(&mut phv).unwrap();
         }
         let state = live.export_state();
-
-        // A fresh build of the same program picks the state up exactly.
-        let mut fresh = counting_pipeline();
-        fresh.restore_state(&state).unwrap();
-        assert_eq!(fresh.registers(), live.registers());
-        assert_eq!(fresh.packets_processed(), live.packets_processed());
-
-        // A mismatched register file is rejected without mutation.
-        let mut b = ProgramBuilder::new();
-        b.add_register("other_reg", 64, 4);
-        let noop = b.add_action(ActionDef::new("noop", vec![]));
-        b.set_control(Control::ApplyAction(noop));
-        let mut wrong = b.build(TargetModel::bmv2()).unwrap();
-        let before = wrong.registers().to_vec();
-        assert!(wrong.restore_state(&state).is_err());
-        assert_eq!(wrong.registers(), &before[..], "rejected restore is a no-op");
+        assert_eq!(state.packets_processed, live.packets_processed());
+        assert_eq!(state.registers.len(), live.registers().len());
+        for ((name, cells), reg) in state.registers.iter().zip(live.registers()) {
+            assert_eq!(name, &reg.name);
+            assert_eq!(cells, &reg.cells);
+        }
+        assert_ne!(state, counting_pipeline().export_state(), "traffic moved the registers");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! export/import constructors in `stat4-core`), the supervisor's
 //! degraded-mode bookkeeping, the delivered-signal log the detection
 //! ensemble replays on resume, alert provenance verbatim, and the
-//! lifecycle generation plus the optional data-plane shadow registers —
-//! into one versioned JSON document guarded by an FNV-1a 64 checksum.
+//! lifecycle generation — into one versioned JSON document guarded by
+//! an FNV-1a 64 checksum.
 //!
 //! **Write discipline.** A checkpoint is written to a temp file in the
 //! same directory, fsynced, then atomically renamed into place (and the
@@ -18,20 +18,21 @@
 //! testable.
 //!
 //! **Read discipline.** [`load_latest`] scans the directory newest
-//! ordinal first and returns the first checkpoint whose magic, version
-//! and checksum all validate, reporting every rejected file — a torn
-//! or rotted newest checkpoint falls back to its predecessor instead
-//! of wedging recovery.
+//! ordinal first and returns the first checkpoint whose magic, version,
+//! checksum and tracker geometries all validate, reporting every
+//! rejected file — a torn or rotted newest checkpoint falls back to its
+//! predecessor instead of wedging recovery.
 //!
 //! **Why a signal log instead of serialized engines.** The detection
 //! ensemble and the drilldown ladder are path-dependent objects with
 //! private state spread over eight engines. Rather than chase every
 //! field, the checkpoint stores the exact per-interval inputs they
-//! observed ([`ContextEntry`]); a resume replays them (with any committed weight overrides re-applied at
-//! their original positions) through fresh instances. Detection is a
-//! pure function of that input sequence, so the rebuilt state — engine
-//! internals, fired log, metrics, ladder phase — is bit-identical to
-//! the state at checkpoint time.
+//! observed ([`ContextEntry`]); a resume replays them (with any
+//! committed weight overrides re-applied at their original positions)
+//! through fresh instances. Detection is a pure function of that input
+//! sequence, so the rebuilt state — engine internals, fired log,
+//! metrics, ladder phase — is bit-identical to the state at checkpoint
+//! time.
 
 use crate::provenance::AlertProvenanceRecord;
 use crate::snapshot::{
@@ -41,12 +42,11 @@ use crate::snapshot::{
 use crate::{IncidentKind, ShardIncident, ShardState};
 use anomaly::SignalValues;
 use faultinject::{CkptCorruption, FaultSchedule};
-use p4sim::PipelineState;
 use stat4_core::freq::FrequencyDist;
 use stat4_core::hll::HyperLogLog;
 use stat4_core::percentile::{MarkerRaw, PercentileSet};
 use stat4_core::running::RunningStats;
-use stat4_core::sketch::CountMinSketch;
+use stat4_core::sketch::{CountMinSketch, ROW_SALTS};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use telemetry::json::render;
@@ -54,8 +54,8 @@ use telemetry::Json;
 
 /// First bytes of every checkpoint document.
 pub const MAGIC: &str = "stat4-replay-ckpt";
-/// Current checkpoint format version; parsers reject anything newer.
-pub const VERSION: u64 = 1;
+/// Current checkpoint format version; the parser refuses every other.
+pub const VERSION: u64 = 2;
 
 /// FNV-1a 64 — the checksum guarding a checkpoint payload. Chosen for
 /// the same reason the fault injector uses SplitMix64: dependency-free,
@@ -69,124 +69,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Raw serialized form of one shard's full tracker set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardStateRaw {
-    /// Kind-distribution domain minimum.
-    pub kinds_min: i64,
-    /// Kind-distribution cell counts.
-    pub kinds_counts: Vec<u64>,
-    /// Length-moment sample count.
-    pub len_n: u64,
-    /// Length-moment running sum.
-    pub len_xsum: i64,
-    /// Length-moment running sum of squares.
-    pub len_xsumsq: i64,
-    /// Sketch row count.
-    pub sk_rows: usize,
-    /// Sketch width as a power of two.
-    pub sk_width_log2: u32,
-    /// Sketch cells, row-major.
-    pub sk_cells: Vec<u64>,
-    /// Sketch total updates.
-    pub sk_total: u64,
-    /// Percentile domain minimum.
-    pub pc_min: i64,
-    /// Percentile domain maximum.
-    pub pc_max: i64,
-    /// Percentile cell counts.
-    pub pc_counts: Vec<u64>,
-    /// Percentile total observations.
-    pub pc_total: u64,
-    /// Percentile markers, path-dependent state included.
-    pub pc_markers: Vec<MarkerRaw>,
-    /// HLL precision.
-    pub hll_precision: u32,
-    /// HLL registers.
-    pub hll_registers: Vec<u8>,
-    /// Frames ingested by this shard.
-    pub packets: u64,
-    /// SYNs in the open interval.
-    pub syn_in_interval: i64,
-    /// Frames in the open interval.
-    pub packets_in_interval: i64,
-    /// Frame-length sum of the open interval.
-    pub len_sum_in_interval: i64,
-}
-
-impl ShardStateRaw {
-    /// Captures the raw form of `s`.
-    #[must_use]
-    pub fn of(s: &ShardState) -> Self {
-        Self {
-            kinds_min: s.kinds.min_value(),
-            kinds_counts: s.kinds.counts().to_vec(),
-            len_n: s.len_stats.n(),
-            len_xsum: s.len_stats.xsum(),
-            len_xsumsq: s.len_stats.xsumsq(),
-            sk_rows: s.dst_sketch.rows(),
-            sk_width_log2: s.dst_sketch.width_log2(),
-            sk_cells: s.dst_sketch.cells().to_vec(),
-            sk_total: s.dst_sketch.total(),
-            pc_min: s.len_median.domain().0,
-            pc_max: s.len_median.domain().1,
-            pc_counts: s.len_median.counts().to_vec(),
-            pc_total: s.len_median.total(),
-            pc_markers: s.len_median.export_markers(),
-            hll_precision: s.src_hll.precision(),
-            hll_registers: s.src_hll.registers().to_vec(),
-            packets: s.packets,
-            syn_in_interval: s.syn_in_interval,
-            packets_in_interval: s.packets_in_interval,
-            len_sum_in_interval: s.len_sum_in_interval,
-        }
-    }
-
-    /// Rebuilds the live state, validating every tracker's geometry.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first tracker whose raw state is
-    /// inconsistent (wrong cell-array length, out-of-range register,
-    /// degenerate quantile weights).
-    pub fn restore(&self) -> Result<ShardState, String> {
-        if !(1..=64).contains(&self.sk_rows) || self.sk_width_log2 >= 28 {
-            return Err(String::from("sketch geometry out of range"));
-        }
-        if self.sk_cells.len() != self.sk_rows << self.sk_width_log2 {
-            return Err(String::from("sketch cell array length mismatch"));
-        }
-        Ok(ShardState {
-            kinds: FrequencyDist::from_raw_counts(self.kinds_min, self.kinds_counts.clone())
-                .map_err(|e| format!("kind distribution: {e}"))?,
-            len_stats: RunningStats::from_raw(self.len_n, self.len_xsum, self.len_xsumsq),
-            dst_sketch: CountMinSketch::from_raw(
-                self.sk_rows,
-                self.sk_width_log2,
-                self.sk_cells.clone(),
-                self.sk_total,
-            ),
-            len_median: PercentileSet::from_raw(
-                self.pc_min,
-                self.pc_max,
-                self.pc_counts.clone(),
-                self.pc_total,
-                &self.pc_markers,
-            )
-            .map_err(|e| format!("length median: {e}"))?,
-            src_hll: HyperLogLog::from_registers(self.hll_precision, self.hll_registers.clone())
-                .map_err(|e| format!("source HLL: {e}"))?,
-            packets: self.packets,
-            syn_in_interval: self.syn_in_interval,
-            packets_in_interval: self.packets_in_interval,
-            len_sum_in_interval: self.len_sum_in_interval,
-            // Restored trackers re-base their delta journals at the
-            // restored values, so the delta baseline matches.
-            taken_packets: self.packets,
-        })
-    }
 }
 
 /// One delivered epoch report: everything the detection ensemble read
@@ -264,7 +146,7 @@ pub struct Checkpoint {
     pub alive: Vec<bool>,
     /// Per-shard state; `None` for shards whose state died with a
     /// panicked worker.
-    pub shards: Vec<Option<ShardStateRaw>>,
+    pub shards: Vec<Option<ShardState>>,
     /// Every quarantine incident so far, in occurrence order.
     pub incidents: Vec<ShardIncident>,
     /// Every delivered epoch report, in delivery order — the ensemble
@@ -279,8 +161,6 @@ pub struct Checkpoint {
     /// Committed reconfiguration transactions so far (stale-duplicate
     /// rejection continues where it left off).
     pub swaps_committed: u64,
-    /// Data-plane shadow register state, when a program is installed.
-    pub pipeline: Option<PipelineState>,
 }
 
 // ---- render ---------------------------------------------------------
@@ -297,25 +177,28 @@ fn u64_arr(v: &[u64]) -> Json {
     Json::Arr(v.iter().map(|&x| ju(x)).collect())
 }
 
-fn shard_json(s: &ShardStateRaw) -> Json {
+/// One shard's full tracker set, read straight off the live trackers.
+fn shard_json(s: &ShardState) -> Json {
+    let (pc_min, pc_max) = s.len_median.domain();
     obj(vec![
-        ("kinds_min", Json::Int(s.kinds_min)),
-        ("kinds_counts", u64_arr(&s.kinds_counts)),
-        ("len_n", ju(s.len_n)),
-        ("len_xsum", Json::Int(s.len_xsum)),
-        ("len_xsumsq", Json::Int(s.len_xsumsq)),
-        ("sk_rows", jus(s.sk_rows)),
-        ("sk_width_log2", ju(u64::from(s.sk_width_log2))),
-        ("sk_cells", u64_arr(&s.sk_cells)),
-        ("sk_total", ju(s.sk_total)),
-        ("pc_min", Json::Int(s.pc_min)),
-        ("pc_max", Json::Int(s.pc_max)),
-        ("pc_counts", u64_arr(&s.pc_counts)),
-        ("pc_total", ju(s.pc_total)),
+        ("kinds_min", Json::Int(s.kinds.min_value())),
+        ("kinds_counts", u64_arr(s.kinds.counts())),
+        ("len_n", ju(s.len_stats.n())),
+        ("len_xsum", Json::Int(s.len_stats.xsum())),
+        ("len_xsumsq", Json::Int(s.len_stats.xsumsq())),
+        ("sk_rows", jus(s.dst_sketch.rows())),
+        ("sk_width_log2", ju(u64::from(s.dst_sketch.width_log2()))),
+        ("sk_cells", u64_arr(s.dst_sketch.cells())),
+        ("sk_total", ju(s.dst_sketch.total())),
+        ("pc_min", Json::Int(pc_min)),
+        ("pc_max", Json::Int(pc_max)),
+        ("pc_counts", u64_arr(s.len_median.counts())),
+        ("pc_total", ju(s.len_median.total())),
         (
             "pc_markers",
             Json::Arr(
-                s.pc_markers
+                s.len_median
+                    .export_markers()
                     .iter()
                     .map(|m| {
                         obj(vec![
@@ -333,10 +216,10 @@ fn shard_json(s: &ShardStateRaw) -> Json {
                     .collect(),
             ),
         ),
-        ("hll_precision", ju(u64::from(s.hll_precision))),
+        ("hll_precision", ju(u64::from(s.src_hll.precision()))),
         (
             "hll_registers",
-            Json::Arr(s.hll_registers.iter().map(|&r| ju(u64::from(r))).collect()),
+            Json::Arr(s.src_hll.registers().iter().map(|&r| ju(u64::from(r))).collect()),
         ),
         ("packets", ju(s.packets)),
         ("syn_in_interval", Json::Int(s.syn_in_interval)),
@@ -356,26 +239,6 @@ fn incident_json(i: &ShardIncident) -> Json {
         ("epoch", ju(i.epoch)),
         ("kind", Json::Str(kind.to_string())),
         ("msg", Json::Str(msg)),
-    ])
-}
-
-fn pipeline_json(p: &PipelineState) -> Json {
-    obj(vec![
-        (
-            "registers",
-            Json::Arr(
-                p.registers
-                    .iter()
-                    .map(|(name, cells)| {
-                        obj(vec![
-                            ("name", Json::Str(name.clone())),
-                            ("cells", u64_arr(cells)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("packets_processed", ju(p.packets_processed)),
     ])
 }
 
@@ -451,10 +314,6 @@ fn payload_json(c: &Checkpoint) -> Json {
         ),
         ("generation", ju(c.generation)),
         ("swaps_committed", ju(c.swaps_committed)),
-        (
-            "pipeline",
-            c.pipeline.as_ref().map_or(Json::Null, pipeline_json),
-        ),
     ])
 }
 
@@ -486,7 +345,9 @@ fn req_u64_arr(v: &Json, key: &str, path: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
-fn parse_shard(v: &Json, path: &str) -> Result<ShardStateRaw, String> {
+/// Rebuilds one shard's tracker set through the `stat4-core` raw
+/// constructors, validating every tracker's geometry.
+fn parse_shard(v: &Json, path: &str) -> Result<ShardState, String> {
     let pc_markers = req_arr(v, "pc_markers", path)?
         .iter()
         .enumerate()
@@ -517,29 +378,57 @@ fn parse_shard(v: &Json, path: &str) -> Result<ShardStateRaw, String> {
                 .ok_or_else(|| format!("{path}: hll_registers[{i}] is not a register rank"))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(ShardStateRaw {
-        kinds_min: req_i64(v, "kinds_min", path)?,
-        kinds_counts: req_u64_arr(v, "kinds_counts", path)?,
-        len_n: req_u64(v, "len_n", path)?,
-        len_xsum: req_i64(v, "len_xsum", path)?,
-        len_xsumsq: req_i64(v, "len_xsumsq", path)?,
-        sk_rows: req_usize(v, "sk_rows", path)?,
-        sk_width_log2: u32::try_from(req_u64(v, "sk_width_log2", path)?)
-            .map_err(|_| format!("{path}: \"sk_width_log2\" overflows u32"))?,
-        sk_cells: req_u64_arr(v, "sk_cells", path)?,
-        sk_total: req_u64(v, "sk_total", path)?,
-        pc_min: req_i64(v, "pc_min", path)?,
-        pc_max: req_i64(v, "pc_max", path)?,
-        pc_counts: req_u64_arr(v, "pc_counts", path)?,
-        pc_total: req_u64(v, "pc_total", path)?,
-        pc_markers,
-        hll_precision: u32::try_from(req_u64(v, "hll_precision", path)?)
-            .map_err(|_| format!("{path}: \"hll_precision\" overflows u32"))?,
-        hll_registers,
-        packets: req_u64(v, "packets", path)?,
+    let sk_rows = req_usize(v, "sk_rows", path)?;
+    let sk_width_log2 = u32::try_from(req_u64(v, "sk_width_log2", path)?)
+        .map_err(|_| format!("{path}: \"sk_width_log2\" overflows u32"))?;
+    let sk_cells = req_u64_arr(v, "sk_cells", path)?;
+    // `CountMinSketch::from_raw` asserts its geometry; check it here so
+    // a damaged document is an error, not a panic.
+    if !(1..=ROW_SALTS.len()).contains(&sk_rows) || sk_width_log2 >= 28 {
+        return Err(format!("{path}: sketch geometry out of range"));
+    }
+    if sk_cells.len() != sk_rows << sk_width_log2 {
+        return Err(format!("{path}: sketch cell array length mismatch"));
+    }
+    let packets = req_u64(v, "packets", path)?;
+    Ok(ShardState {
+        kinds: FrequencyDist::from_raw_counts(
+            req_i64(v, "kinds_min", path)?,
+            req_u64_arr(v, "kinds_counts", path)?,
+        )
+        .map_err(|e| format!("{path}: kind distribution: {e}"))?,
+        len_stats: RunningStats::from_raw(
+            req_u64(v, "len_n", path)?,
+            req_i64(v, "len_xsum", path)?,
+            req_i64(v, "len_xsumsq", path)?,
+        ),
+        dst_sketch: CountMinSketch::from_raw(
+            sk_rows,
+            sk_width_log2,
+            sk_cells,
+            req_u64(v, "sk_total", path)?,
+        ),
+        len_median: PercentileSet::from_raw(
+            req_i64(v, "pc_min", path)?,
+            req_i64(v, "pc_max", path)?,
+            req_u64_arr(v, "pc_counts", path)?,
+            req_u64(v, "pc_total", path)?,
+            &pc_markers,
+        )
+        .map_err(|e| format!("{path}: length median: {e}"))?,
+        src_hll: HyperLogLog::from_registers(
+            u32::try_from(req_u64(v, "hll_precision", path)?)
+                .map_err(|_| format!("{path}: \"hll_precision\" overflows u32"))?,
+            hll_registers,
+        )
+        .map_err(|e| format!("{path}: source HLL: {e}"))?,
+        packets,
         syn_in_interval: req_i64(v, "syn_in_interval", path)?,
         packets_in_interval: req_i64(v, "packets_in_interval", path)?,
         len_sum_in_interval: req_i64(v, "len_sum_in_interval", path)?,
+        // Restored trackers re-base their delta journals at the
+        // restored values, so the delta baseline matches.
+        taken_packets: packets,
     })
 }
 
@@ -558,21 +447,6 @@ fn parse_incident(v: &Json, path: &str) -> Result<ShardIncident, String> {
     })
 }
 
-fn parse_pipeline(v: &Json, path: &str) -> Result<PipelineState, String> {
-    let registers = req_arr(v, "registers", path)?
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let rp = format!("{path}.registers[{i}]");
-            Ok((req_str(r, "name", &rp)?, req_u64_arr(r, "cells", &rp)?))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(PipelineState {
-        registers,
-        packets_processed: req_u64(v, "packets_processed", path)?,
-    })
-}
-
 /// Parses a checkpoint document, validating magic, version and
 /// checksum before any field is interpreted.
 ///
@@ -588,9 +462,9 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
         return Err(format!("not a checkpoint: magic {magic:?}"));
     }
     let version = req_u64(&doc, "version", "$")?;
-    if version > VERSION {
+    if version != VERSION {
         return Err(format!(
-            "checkpoint version {version} is newer than supported {VERSION}"
+            "checkpoint version {version} is not the supported version {VERSION}"
         ));
     }
     let want = req_str(&doc, "checksum", "$")?;
@@ -668,12 +542,6 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
         .enumerate()
         .map(|(i, r)| parse_record(r, &format!("{pp}.provenance[{i}]")))
         .collect::<Result<Vec<_>, _>>()?;
-    let pipe = req(p, "pipeline", pp)?;
-    let pipeline = if pipe.is_null() {
-        None
-    } else {
-        Some(parse_pipeline(pipe, &format!("{pp}.pipeline"))?)
-    };
     Ok(Checkpoint {
         next_ordinal: req_usize(p, "next_ordinal", pp)?,
         checkpoint_ordinal: req_u64(p, "checkpoint_ordinal", pp)?,
@@ -700,7 +568,6 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
         provenance,
         generation: req_u64(p, "generation", pp)?,
         swaps_committed: req_u64(p, "swaps_committed", pp)?,
-        pipeline,
     })
 }
 
@@ -847,7 +714,7 @@ mod tests {
             carried_epochs: 1,
             carried_from: vec![6],
             alive: vec![true, false],
-            shards: vec![Some(ShardStateRaw::of(&s)), None],
+            shards: vec![Some(s), None],
             incidents: vec![ShardIncident {
                 shard: 1,
                 epoch: 4,
@@ -879,19 +746,32 @@ mod tests {
             provenance: Vec::new(),
             generation: 2,
             swaps_committed: 2,
-            pipeline: Some(PipelineState {
-                registers: vec![(String::from("rate_window"), vec![1, 2, 3])],
-                packets_processed: 77,
-            }),
         }
     }
 
     #[test]
-    fn shard_state_raw_round_trips_exactly() {
+    fn shard_json_round_trips_exactly() {
         let s = sample_state();
-        let raw = ShardStateRaw::of(&s);
-        let restored = raw.restore().expect("captured state restores");
+        let restored = parse_shard(&shard_json(&s), "$").expect("captured state restores");
         assert_eq!(restored, s);
+    }
+
+    #[test]
+    fn shard_geometry_errors_name_the_shard() {
+        let mut doc = shard_json(&sample_state());
+        let Json::Obj(members) = &mut doc else { unreachable!() };
+        // One row past the sketch's salt table, with a cell array that
+        // fits it: `CountMinSketch::from_raw` would panic on this.
+        let rows = ROW_SALTS.len() + 1;
+        for (k, v) in members.iter_mut() {
+            match k.as_str() {
+                "sk_rows" => *v = jus(rows),
+                "sk_cells" => *v = u64_arr(&vec![0; rows << 12]),
+                _ => {}
+            }
+        }
+        let err = parse_shard(&doc, "$.payload.shards[1]").unwrap_err();
+        assert!(err.starts_with("$.payload.shards[1]: sketch geometry"), "{err}");
     }
 
     #[test]
@@ -924,9 +804,24 @@ mod tests {
     #[test]
     fn newer_versions_are_refused() {
         let text = serialize(&sample_checkpoint());
-        let bumped = text.replace("\"version\":1", "\"version\":999");
+        let bumped = text.replace("\"version\":2", "\"version\":999");
+        assert_ne!(text, bumped, "replacement must hit");
         let err = parse(&bumped).unwrap_err();
-        assert!(err.contains("newer than supported"), "{err}");
+        assert!(err.contains("version 999") && err.contains("version 2"), "{err}");
+    }
+
+    #[test]
+    fn older_versions_are_refused() {
+        let text = serialize(&sample_checkpoint());
+        for old in [0, 1] {
+            let aged = text.replace("\"version\":2", &format!("\"version\":{old}"));
+            assert_ne!(text, aged, "replacement must hit");
+            let err = parse(&aged).unwrap_err();
+            assert!(
+                err.contains(&format!("version {old}")) && err.contains("version 2"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

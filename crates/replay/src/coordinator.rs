@@ -18,7 +18,7 @@
 //! against a plain loop.
 
 use crate::barrier::BarrierMerger;
-use crate::ckpt::{self, Checkpoint, ContextEntry, OverrideEntry, ShardStateRaw};
+use crate::ckpt::{self, Checkpoint, ContextEntry, OverrideEntry};
 use crate::lifecycle::{self, LifecyclePlan, LifecycleReport, ShedController};
 use crate::provenance::{AlertProvenanceRecord, LineageSources};
 use crate::{
@@ -27,7 +27,6 @@ use crate::{
 };
 use anomaly::{Ensemble, ScoreDrilldown, SignalContext, SignalValues, SynFloodEngine};
 use faultinject::{FaultSchedule, ShardFaultKind};
-use p4sim::Pipeline;
 use stat4_core::freq::FrequencyDist;
 use stat4_core::running::RunningStats;
 use std::ops::Range;
@@ -135,7 +134,6 @@ pub(crate) struct EpochCoordinator<'a> {
     drill: ScoreDrilldown,
     provenance: Vec<AlertProvenanceRecord>,
     merger: BarrierMerger,
-    shadow: Option<Pipeline>,
     generation: u64,
     swaps_committed: u64,
     /// The ensemble warm-replay log; kept only when checkpoints can be
@@ -213,7 +211,6 @@ impl<'a> EpochCoordinator<'a> {
             drill: ScoreDrilldown::new(cfg.ensemble.trigger),
             provenance: Vec::new(),
             merger: BarrierMerger::new(),
-            shadow: plan.initial_program.clone(),
             generation: 0,
             swaps_committed: 0,
             context_log: Vec::new(),
@@ -228,11 +225,12 @@ impl<'a> EpochCoordinator<'a> {
     }
 
     /// Continues the run checkpoint `c` captured: the inverse of
-    /// [`Self::checkpoint`]. Shard trackers restore through their raw
-    /// constructors, the ensemble and drilldown ladder by replaying the
-    /// delivered-signal log, provenance verbatim, and the fault
-    /// schedule is reparsed from the stored spec and seed. `fallbacks`
-    /// (newer checkpoints the loader rejected) become report events.
+    /// [`Self::checkpoint`]. Shard trackers arrive rebuilt and
+    /// validated by the checkpoint parser; the ensemble and drilldown
+    /// ladder are rebuilt by replaying the delivered-signal log,
+    /// provenance is restored verbatim, and the fault schedule is
+    /// reparsed from the stored spec and seed. `fallbacks` (newer
+    /// checkpoints the loader rejected) become report events.
     ///
     /// # Errors
     ///
@@ -240,9 +238,7 @@ impl<'a> EpochCoordinator<'a> {
     ///   or with the schedule's length;
     /// - a shard marked alive has no stored state;
     /// - the stored fault spec no longer parses;
-    /// - the checkpoint carries data-plane register state but the plan
-    ///   supplies no `initial_program` to restore it into;
-    /// - a stored shard state fails its tracker-geometry validation.
+    /// - the delivered-signal log holds a malformed kind distribution.
     pub(crate) fn resume(
         schedule: &'a Schedule,
         cfg: &'a ReplayConfig,
@@ -290,33 +286,12 @@ impl<'a> EpochCoordinator<'a> {
             FaultSchedule::parse(&c.faults_spec, c.fault_seed)
                 .map_err(|e| format!("stored fault spec {:?}: {e}", c.faults_spec))?
         };
-        let states = c
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, raw)| {
-                raw.as_ref()
-                    .map(|r| r.restore().map_err(|e| format!("shard {s}: {e}")))
-                    .transpose()
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         let mut co = Self::new(schedule, cfg, faults, plan);
-        if let Some(state) = &c.pipeline {
-            let shadow = co.shadow.as_mut().ok_or_else(|| {
-                String::from(
-                    "checkpoint carries data-plane state; supply the program via the plan's \
-                     initial_program",
-                )
-            })?;
-            shadow
-                .restore_state(state)
-                .map_err(|e| format!("cannot restore data-plane state: {e}"))?;
-        }
         (co.ensemble, co.drill) = rebuild_detection(&c, cfg)?;
         co.observes = c.context_log.len() as u64;
         co.start_ordinal = c.next_ordinal;
         co.next_ckpt_ordinal = c.checkpoint_ordinal + 1;
-        co.states = states;
+        co.states = c.shards;
         co.alive = c.alive;
         co.incidents = c.incidents;
         co.packets = c.packets;
@@ -419,11 +394,8 @@ impl<'a> EpochCoordinator<'a> {
         // Swaps: vet everything against the running configuration,
         // then commit atomically — or reject leaving it untouched.
         for req in plan.swaps.iter().filter(|s| s.at_epoch == k64) {
-            match lifecycle::vet_swap(req, self.generation, self.shadow.as_ref(), &self.ensemble) {
-                Ok(vetted) => {
-                    if let Some(next) = vetted.shadow {
-                        self.shadow = Some(next);
-                    }
+            match lifecycle::vet_swap(req, self.generation, &self.ensemble) {
+                Ok(detail) => {
                     for (name, w) in &req.weights {
                         let _ = self.ensemble.set_weight_override(name, *w);
                         self.overrides.push(OverrideEntry {
@@ -439,7 +411,7 @@ impl<'a> EpochCoordinator<'a> {
                     self.report.push(
                         k64,
                         "swap_committed",
-                        format!("generation {}: {}", self.generation, vetted.detail),
+                        format!("generation {}: {detail}", self.generation),
                     );
                     // Control-channel duplication: the storm fault
                     // redelivers the request we just committed. Its
@@ -447,12 +419,7 @@ impl<'a> EpochCoordinator<'a> {
                     // duplicate vets to rejection — commits are
                     // idempotent.
                     if self.faults.duplicate_reconfig(self.swaps_committed) {
-                        if let Err(e) = lifecycle::vet_swap(
-                            req,
-                            self.generation,
-                            self.shadow.as_ref(),
-                            &self.ensemble,
-                        ) {
+                        if let Err(e) = lifecycle::vet_swap(req, self.generation, &self.ensemble) {
                             self.telemetry.swaps_rejected.inc();
                             self.report.swaps_rejected += 1;
                             self.report.push(k64, "stale_swap_rejected", e);
@@ -496,18 +463,13 @@ impl<'a> EpochCoordinator<'a> {
             carried_epochs: self.carried_epochs,
             carried_from: self.carried_from.clone(),
             alive: self.alive.clone(),
-            shards: self
-                .states
-                .iter()
-                .map(|s| s.as_ref().map(ShardStateRaw::of))
-                .collect(),
+            shards: self.states.clone(),
             incidents: self.incidents.clone(),
             context_log: self.context_log.clone(),
             overrides: self.overrides.clone(),
             provenance: self.provenance.clone(),
             generation: self.generation,
             swaps_committed: self.swaps_committed,
-            pipeline: self.shadow.as_ref().map(Pipeline::export_state),
         }
     }
 

@@ -6,8 +6,8 @@
 //! per-pipe state into a global view. Each worker runs the native
 //! `stat4-core` trackers (frequency distribution, running moments,
 //! count-min sketch, percentile markers, HyperLogLog), not the p4sim
-//! interpreter; a p4sim pipeline appears only as the shadow model that
-//! vets hot swaps ([`lifecycle`]).
+//! interpreter: the engine has no data-plane program, and its hot swaps
+//! ([`lifecycle`]) override ensemble weights only.
 //!
 //! ## Architecture
 //!
@@ -774,7 +774,7 @@ pub fn run_replay_lifecycle(
 /// Loads the newest valid checkpoint from `plan.checkpoint_dir`
 /// (falling back past torn or corrupted files, which the checksum
 /// rejects), validates it against `cfg` and `schedule`, rebuilds the
-/// coordinator — shard trackers through their raw constructors, the
+/// coordinator — shard trackers as the parser rebuilt them, the
 /// detection ensemble and drilldown ladder by replaying the
 /// checkpoint's delivered-signal log, provenance verbatim — and runs
 /// the remaining epochs. The fault schedule is reparsed from the
@@ -785,13 +785,13 @@ pub fn run_replay_lifecycle(
 /// # Errors
 ///
 /// - the plan has no checkpoint directory, or no checkpoint in it
-///   validates;
-/// - the checkpoint disagrees with `cfg` (shards, batch, interval) or
-///   with the schedule's length;
+///   validates (magic, version, checksum, every field, and every
+///   stored shard's tracker geometry);
+/// - the newest valid checkpoint disagrees with `cfg` (shards, batch,
+///   interval) or with the schedule's length;
+/// - a shard marked alive has no stored state;
 /// - the stored fault spec no longer parses;
-/// - the checkpoint carries data-plane register state but the plan
-///   supplies no `initial_program` to restore it into;
-/// - a stored shard state fails its tracker-geometry validation.
+/// - the delivered-signal log holds a malformed kind distribution.
 pub fn resume_from_checkpoint(
     schedule: &Schedule,
     cfg: &ReplayConfig,

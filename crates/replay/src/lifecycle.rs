@@ -6,19 +6,19 @@
 //! and no epoch is in flight. This module defines what may happen
 //! there:
 //!
-//! - **Hot swaps** ([`SwapRequest`]) — replace the compiled data-plane
-//!   program, rewrite binding tables, and/or override ensemble engine
-//!   weights, atomically. Every component is vetted *before* anything
-//!   mutates: the proposed program must be symbolically equivalent to
-//!   the running shadow model ([`p4sim::check_equivalence`]), binding
-//!   rewrites must pass the rebind verifier ([`p4sim::vet_rebind`]),
-//!   and weight overrides must name real engines with sane values. One
-//!   failure rejects the whole request; the old configuration is
-//!   untouched (verified down to the generation counter by
-//!   `tests/lifecycle.rs`). A stale `expected_generation` — e.g. a
-//!   duplicate delivery injected by the `reconfig_storm` fault domain —
-//!   is rejected the same way, which makes commits idempotent under
-//!   control-channel duplication.
+//! - **Hot swaps** ([`SwapRequest`]) — override ensemble engine
+//!   weights, atomically. The replay shards run `stat4-core` trackers,
+//!   not a data-plane program, so weights are the whole of the run's
+//!   reconfigurable state; the paper's binding-table rewrites belong to
+//!   the drill-down controller (`anomaly::DrilldownController`), which
+//!   vets them against its own model of the pipeline. Every override is
+//!   vetted *before* anything mutates: it must name a real engine and
+//!   carry a non-negative weight. One failure rejects the whole
+//!   request; the old configuration is untouched (verified down to the
+//!   generation counter by `tests/lifecycle.rs`). A stale
+//!   `expected_generation` — e.g. a duplicate delivery injected by the
+//!   `reconfig_storm` fault domain — is rejected the same way, which
+//!   makes commits idempotent under control-channel duplication.
 //! - **Checkpoints** — at a configurable epoch cadence the coordinator
 //!   writes a [`crate::ckpt::Checkpoint`]; see that module for the
 //!   crash-consistency discipline.
@@ -41,23 +41,9 @@
 
 use crate::snapshot::{obj, opt_u64, req_arr, req_str, req_u64};
 use anomaly::Ensemble;
-use p4sim::{check_equivalence, vet_rebind, Pipeline, RuntimeRequest, SymbolicOptions};
 use std::path::PathBuf;
 use telemetry::json::render;
 use telemetry::Json;
-
-/// Symbolic budgets for in-line swap vetting — same reduced settings
-/// the drilldown ladder uses for per-transaction rebind checks: big
-/// enough to cover every path of the case-study program, small enough
-/// to run at an epoch barrier.
-#[must_use]
-pub(crate) fn vet_options() -> SymbolicOptions {
-    SymbolicOptions {
-        path_budget: 512,
-        samples: 16,
-        ..SymbolicOptions::default()
-    }
-}
 
 // ---- shedding -------------------------------------------------------
 
@@ -177,9 +163,8 @@ impl ShedController {
 
 // ---- swaps ----------------------------------------------------------
 
-/// A drain-point reconfiguration request: any combination of a new
-/// compiled program, binding-table rewrites, and ensemble weight
-/// overrides, applied atomically or not at all.
+/// A drain-point reconfiguration request: ensemble weight overrides,
+/// applied atomically or not at all.
 #[derive(Debug, Clone)]
 pub struct SwapRequest {
     /// Epoch ordinal (index into the run's interval sequence) at whose
@@ -189,50 +174,30 @@ pub struct SwapRequest {
     /// the request is stale (duplicate delivery, lost race) and is
     /// rejected without vetting.
     pub expected_generation: u64,
-    /// Replacement compiled program; must be symbolically equivalent
-    /// to the running shadow model.
-    pub program: Option<Pipeline>,
-    /// Binding-table rewrites, vetted as one transaction.
-    pub bindings: Vec<RuntimeRequest>,
     /// Ensemble weight overrides: `(engine name, Q16 weight)`; `None`
     /// restores the engine's own weight.
     pub weights: Vec<(String, Option<i64>)>,
 }
 
-/// The vetted effect of an accepted swap, computed without mutating
-/// anything — commit is a plain move of these values.
-pub(crate) struct VettedSwap {
-    /// The next shadow model (program swap and/or binding rewrites
-    /// applied), when the request touched the data plane.
-    pub(crate) shadow: Option<Pipeline>,
-    /// One-line human summary for the event log.
-    pub(crate) detail: String,
-}
-
-/// Vets `req` against the current configuration without changing it.
+/// Vets `req` against the current configuration without changing it,
+/// returning the one-line event-log summary of an accepted request.
 ///
 /// # Errors
 ///
-/// The rejection reason: stale generation, a non-equivalent program
-/// (with the first counterexample noted), a binding transaction the
-/// rebind verifier refused, or an unknown/negative weight override.
+/// The rejection reason: a stale generation, or a weight override
+/// naming an unknown engine or carrying a negative weight.
 pub(crate) fn vet_swap(
     req: &SwapRequest,
     generation: u64,
-    shadow: Option<&Pipeline>,
     ensemble: &Ensemble,
-) -> Result<VettedSwap, String> {
+) -> Result<String, String> {
     if req.expected_generation != generation {
         return Err(format!(
             "stale request: expected generation {}, running generation {}",
             req.expected_generation, generation
         ));
     }
-    let engines: Vec<&'static str> = ensemble
-        .weight_overrides()
-        .into_iter()
-        .map(|(n, _)| n)
-        .collect();
+    let engines = ensemble.names();
     for (name, weight) in &req.weights {
         if !engines.iter().any(|e| e == name) {
             return Err(format!("weight override names unknown engine {name:?}"));
@@ -243,63 +208,15 @@ pub(crate) fn vet_swap(
             }
         }
     }
-    let opts = vet_options();
-    let mut parts: Vec<String> = Vec::new();
-    let mut next: Option<Pipeline> = None;
-    if let Some(proposed) = &req.program {
-        let Some(current) = shadow else {
-            return Err(String::from(
-                "program swap without a running shadow model to verify against",
-            ));
-        };
-        let equiv = check_equivalence(current, proposed, &opts);
-        if let Some(ce) = &equiv.counterexample {
-            return Err(format!(
-                "proposed program diverges from the running one: {} ({} witnesses checked)",
-                ce.detail, equiv.witnesses
-            ));
-        }
-        parts.push(format!(
-            "program verified equivalent ({} witnesses)",
-            equiv.witnesses
-        ));
-        next = Some(proposed.clone());
+    if req.weights.is_empty() {
+        return Ok(String::from("no-op reconfiguration"));
     }
-    if !req.bindings.is_empty() {
-        let base = next.as_ref().or(shadow).ok_or_else(|| {
-            String::from("binding rewrite without a running shadow model to verify against")
-        })?;
-        let report = vet_rebind(base, &RuntimeRequest::Batch(req.bindings.clone()), &opts);
-        if !report.passes() {
-            let first = report
-                .diagnostics
-                .iter()
-                .find(|d| d.severity == p4sim::Severity::Error)
-                .map_or_else(
-                    || String::from("rebind verifier refused the transaction"),
-                    |d| d.message.clone(),
-                );
-            return Err(format!("binding rewrite rejected: {first}"));
-        }
-        let vetted = report
-            .vetted
-            .ok_or_else(|| String::from("rebind verifier passed but returned no vetted model"))?;
-        parts.push(format!(
-            "{} binding request(s) vetted",
-            req.bindings.len()
-        ));
-        next = Some(vetted);
-    }
-    if !req.weights.is_empty() {
-        parts.push(format!("{} weight override(s)", req.weights.len()));
-    }
-    if parts.is_empty() {
-        parts.push(String::from("no-op reconfiguration"));
-    }
-    Ok(VettedSwap {
-        shadow: next,
-        detail: parts.join(", "),
-    })
+    let set: Vec<String> = req
+        .weights
+        .iter()
+        .map(|(name, w)| w.map_or_else(|| format!("{name}=own"), |w| format!("{name}={w}")))
+        .collect();
+    Ok(format!("weights {}", set.join(", ")))
 }
 
 // ---- plan -----------------------------------------------------------
@@ -319,10 +236,6 @@ pub struct LifecyclePlan {
     pub kill_at_epoch: Option<u64>,
     /// Reconfiguration requests, matched by epoch ordinal.
     pub swaps: Vec<SwapRequest>,
-    /// The compiled program whose shadow model seeds generation 0.
-    /// Required for program/binding swaps and for resuming a
-    /// checkpoint that carries data-plane state.
-    pub initial_program: Option<Pipeline>,
     /// The fault spec string the run was started with, embedded in
     /// checkpoints so resume can rebuild the exact schedule.
     pub faults_spec: String,
@@ -515,7 +428,7 @@ mod tests {
             resumed_from: Some(1),
             ..LifecycleReport::default()
         };
-        r.push(4, "swap_committed", String::from("program verified equivalent"));
+        r.push(4, "swap_committed", String::from("generation 1: weights multiscale=0"));
         r.push(5, "shed_level", String::from("no_traces"));
         let text = r.to_json();
         let parsed = LifecycleReport::parse(&text).expect("own rendering parses");

@@ -3,9 +3,12 @@
 //! throughput. Optionally exports the run's full telemetry snapshot.
 //!
 //! ```text
-//! replay [synflood|mix] [shards] [interval_ms]
+//! replay [synflood|mix|seasonal|scan|cardinality] [shards] [interval_ms]
 //!        [--shards N] [--interval-ms M] [--batch B]
-//!        [--faults SPEC] [--seed N]
+//!        [--faults SPEC|@FILE] [--seed N]
+//!        [--checkpoint-dir DIR] [--checkpoint-every N]
+//!        [--kill-at-epoch K] [--resume] [--swap-demo E]
+//!        [--lifecycle-out PATH]
 //!        [--metrics-out PATH] [--metrics-format prom|json]
 //!        [--trace-out PATH] [--snapshot-out PATH]
 //! ```
@@ -35,11 +38,11 @@
 //! drain point (the crash model); `--resume` continues the newest
 //! valid checkpoint in D to completion — the resumed run's
 //! `--snapshot-out` document is byte-identical to an uninterrupted
-//! run's. `--swap-demo E` stages a hot-swap pair at epoch ordinal E:
-//! an equivalent recompiled program that commits, then a poisoned
-//! (behaviourally different) program that the shadow-model verifier
-//! rejects. `--lifecycle-out PATH` writes the lifecycle event report
-//! as JSON for `stat4-trace explain`.
+//! run's. `--swap-demo E` stages a weights-only hot-swap pair at epoch
+//! ordinal E: an override muting the multi-scale engine that commits,
+//! then an override naming an unknown engine that vetting rejects.
+//! `--lifecycle-out PATH` writes the lifecycle event report as JSON
+//! for `stat4-trace lifecycle`.
 //!
 //! Zero is rejected for `--shards`, `--interval-ms` and `--batch` with
 //! a specific message: a zero interval would spin the epoch cutter on
@@ -53,7 +56,6 @@ use replay::{
     render_outcome_json, resume_from_checkpoint, run_replay_lifecycle, LifecyclePlan,
     LifecycleReport, ReplayConfig, ReplayOutcome, SwapRequest,
 };
-use stat4_p4::{CaseStudyApp, CaseStudyParams};
 use std::path::PathBuf;
 use workloads::{
     CardinalitySpikeWorkload, LowSlowScanWorkload, PacketMixWorkload, Schedule,
@@ -268,45 +270,24 @@ fn faults_from_file(path: &str, text: &str) -> Result<String, String> {
     Ok(entries.join(","))
 }
 
-/// Builds the `--swap-demo` request pair: an equivalent recompile that
-/// should commit (generation 0 → 1), then a behaviourally different
-/// "poisoned" build against generation 1 that the shadow-model
-/// verifier must reject. Both land at the same drain point so one run
-/// exercises both verdicts.
-fn swap_demo_requests(at_epoch: u64) -> (p4sim::Pipeline, Vec<SwapRequest>) {
-    let build = |params: CaseStudyParams| match CaseStudyApp::build(params) {
-        Ok(app) => app,
-        Err(e) => {
-            eprintln!("replay: cannot build case-study program for --swap-demo: {e}");
-            std::process::exit(1);
-        }
-    };
-    let base = build(CaseStudyParams::default());
-    let equivalent = build(CaseStudyParams::default());
-    // Halving the rate window changes the ring-buffer modulus, so the
-    // two builds provably diverge on a concrete witness — the verifier
-    // must catch this one.
-    let poisoned = build(CaseStudyParams {
-        window_size: CaseStudyParams::default().window_size / 2,
-        ..CaseStudyParams::default()
-    });
-    let swaps = vec![
+/// Builds the `--swap-demo` request pair: a weight override muting the
+/// multi-scale engine that commits (generation 0 → 1), then an override
+/// against generation 1 naming an engine the ensemble does not have,
+/// which vetting must reject. Both land at the same drain point so one
+/// run exercises both verdicts.
+fn swap_demo_requests(at_epoch: u64) -> Vec<SwapRequest> {
+    vec![
         SwapRequest {
             at_epoch,
             expected_generation: 0,
-            program: Some(equivalent.pipeline),
-            bindings: Vec::new(),
-            weights: Vec::new(),
+            weights: vec![(String::from("multiscale"), Some(0))],
         },
         SwapRequest {
             at_epoch,
             expected_generation: 1,
-            program: Some(poisoned.pipeline),
-            bindings: Vec::new(),
-            weights: Vec::new(),
+            weights: vec![(String::from("no_such_engine"), Some(65_536))],
         },
-    ];
-    (base.pipeline, swaps)
+    ]
 }
 
 /// Prints the lifecycle events a CI grep (or a human) cares about:
@@ -462,18 +443,14 @@ fn main() {
         None => FaultSchedule::none(),
     };
 
-    let mut plan = LifecyclePlan {
+    let plan = LifecyclePlan {
         checkpoint_dir: opts.checkpoint_dir.as_ref().map(PathBuf::from),
         checkpoint_every: opts.checkpoint_every,
         kill_at_epoch: opts.kill_at_epoch,
+        swaps: opts.swap_demo.map(swap_demo_requests).unwrap_or_default(),
         faults_spec: faults_spec.clone().unwrap_or_default(),
         ..LifecyclePlan::none()
     };
-    if let Some(at) = opts.swap_demo {
-        let (base, swaps) = swap_demo_requests(at);
-        plan.initial_program = Some(base);
-        plan.swaps = swaps;
-    }
 
     let (out, lifecycle): (ReplayOutcome, LifecycleReport) = if opts.resume {
         match resume_from_checkpoint(&schedule, &cfg, &plan) {

@@ -46,8 +46,9 @@ use telemetry::Tracer;
 /// is sequential, so the pipeline ends at the barrier by design.
 pub(crate) const QUEUE_CAPACITY: usize = 2;
 
-/// Scoped threads for the up-front flow-hash pass. Hashing is pure and
-/// order-preserving, so any thread count yields the same assignment
+/// Most scoped threads for the up-front flow-hash pass; a run uses
+/// `min(PARTITION_THREADS, available_parallelism())`. Hashing is pure
+/// and order-preserving, so any thread count yields the same assignment
 /// (`assignments_parallel` falls back to serial for short schedules).
 const PARTITION_THREADS: usize = 4;
 
@@ -279,11 +280,14 @@ pub(crate) fn run(mut coordinator: EpochCoordinator<'_>) -> (ReplayOutcome, Life
     coordinator.telemetry.queue_capacity = QUEUE_CAPACITY as u64;
     let schedule = coordinator.schedule();
     if !schedule.is_empty() {
+        let shards = coordinator.shards();
+        let threads = std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .min(PARTITION_THREADS);
         // Recorded as `prepartition_ns`, not into the per-epoch
         // `partition_ns` histogram: this pass happens before any epoch.
         let hash_started = Instant::now();
-        let shards = coordinator.shards();
-        let homes = workloads::shard::assignments_parallel(schedule, shards, PARTITION_THREADS);
+        let homes = workloads::shard::assignments_parallel(schedule, shards, threads);
         coordinator
             .telemetry
             .prepartition_ns

@@ -187,12 +187,18 @@ fn mutate(payload: &mut Json, m: Mutation, pick: usize) -> Option<String> {
             Some(format!("$.payload.shards[{s}]"))
         }
         Mutation::Resize => {
-            let arr = match pick % 5 {
-                0 => member(payload, "alive"),
-                1 => member(payload, "shards"),
-                k => member(
-                    &mut items(member(payload, "shards"))[s],
-                    ["sk_cells", "hll_registers", "pc_counts"][k - 2],
+            // The liveness and shard lists are checked against each
+            // other and the run's topology at resume; a tracker array
+            // fails its shard's geometry check in the parser.
+            let (arr, must_name) = match pick % 5 {
+                0 => (member(payload, "alive"), None),
+                1 => (member(payload, "shards"), None),
+                k => (
+                    member(
+                        &mut items(member(payload, "shards"))[s],
+                        ["sk_cells", "hll_registers", "pc_counts"][k - 2],
+                    ),
+                    Some(format!("$.payload.shards[{s}]")),
                 ),
             };
             let arr = items(arr);
@@ -201,7 +207,7 @@ fn mutate(payload: &mut Json, m: Mutation, pick: usize) -> Option<String> {
             } else {
                 arr.push(arr[0].clone());
             }
-            None
+            must_name
         }
         Mutation::NullLiveShard => {
             items(member(payload, "alive"))[s] = Json::Bool(true);

@@ -1,8 +1,9 @@
 //! Lifecycle guarantees: a run killed mid-stream and resumed from its
-//! newest checkpoint is byte-identical to the uninterrupted run; a
-//! rejected hot-swap leaves the running configuration untouched; a
-//! torn checkpoint write is detected by the checksum and recovery
-//! falls back to the previous checkpoint.
+//! newest checkpoint is byte-identical to the uninterrupted run, with
+//! or without a committed weight override; a rejected hot-swap leaves
+//! the running configuration untouched; a torn checkpoint write is
+//! detected by the checksum and recovery falls back to the previous
+//! checkpoint.
 
 use std::path::PathBuf;
 
@@ -11,7 +12,6 @@ use replay::{
     render_outcome_json, resume_from_checkpoint, run_replay_lifecycle, LifecyclePlan,
     ReplayConfig, SwapRequest,
 };
-use stat4_p4::{CaseStudyApp, CaseStudyParams};
 use workloads::{Schedule, SynFloodWorkload};
 
 const CHAOS: &str = "shard_crash=1@3,ctrl_loss=0.30";
@@ -104,32 +104,33 @@ fn kill_and_resume_is_byte_identical_across_shard_counts() {
     }
 }
 
-/// A swap whose proposed program provably diverges from the running
-/// one must be rejected at the drain point with the configuration —
-/// and the run's outcome — untouched.
+/// A weight override against generation 0, at epoch 3, muting an
+/// engine that fires on the flood.
+fn mute_multiscale() -> SwapRequest {
+    SwapRequest {
+        at_epoch: 3,
+        expected_generation: 0,
+        weights: vec![(String::from("multiscale"), Some(0))],
+    }
+}
+
+/// A swap naming an engine the ensemble does not have must be rejected
+/// at the drain point with the configuration — and the run's outcome —
+/// untouched, even when it also carries a valid override.
 #[test]
 fn rejected_swap_leaves_outcome_and_generation_untouched() {
     let s = small_flood();
     let cfg = cfg(4);
-    let base = CaseStudyApp::build(CaseStudyParams::default()).unwrap();
-    // Halving the rate window changes the ring-buffer modulus, so the
-    // equivalence check finds a concrete counterexample.
-    let poisoned = CaseStudyApp::build(CaseStudyParams {
-        window_size: CaseStudyParams::default().window_size / 2,
-        ..CaseStudyParams::default()
-    })
-    .unwrap();
 
     let (baseline, _) = run_replay_lifecycle(&s, &cfg, &chaos(CHAOS), &LifecyclePlan::none());
 
     let plan = LifecyclePlan {
-        initial_program: Some(base.pipeline),
         swaps: vec![SwapRequest {
-            at_epoch: 3,
-            expected_generation: 0,
-            program: Some(poisoned.pipeline),
-            bindings: Vec::new(),
-            weights: Vec::new(),
+            weights: vec![
+                (String::from("multiscale"), Some(0)),
+                (String::from("no_such_engine"), Some(65_536)),
+            ],
+            ..mute_multiscale()
         }],
         faults_spec: String::from(CHAOS),
         ..LifecyclePlan::none()
@@ -146,8 +147,8 @@ fn rejected_swap_leaves_outcome_and_generation_untouched() {
         .expect("a swap_rejected event");
     assert_eq!(rejection.epoch, 3);
     assert!(
-        rejection.detail.contains("diverges"),
-        "the rejection names the counterexample: {}",
+        rejection.detail.contains("no_such_engine"),
+        "the rejection names the unknown engine: {}",
         rejection.detail
     );
     assert_eq!(
@@ -157,26 +158,21 @@ fn rejected_swap_leaves_outcome_and_generation_untouched() {
     );
 }
 
-/// An equivalent recompile commits and bumps the generation — and
-/// still leaves the statistical outcome untouched, because the swap is
-/// a control-plane event, not a data mutation.
+/// An override that restores an engine's own weight commits and bumps
+/// the generation — and leaves the statistical outcome untouched,
+/// because committing is bookkeeping: only the weight values steer the
+/// ensemble.
 #[test]
 fn accepted_swap_bumps_generation_without_changing_the_outcome() {
     let s = small_flood();
     let cfg = cfg(2);
-    let base = CaseStudyApp::build(CaseStudyParams::default()).unwrap();
-    let recompile = CaseStudyApp::build(CaseStudyParams::default()).unwrap();
 
     let (baseline, _) = run_replay_lifecycle(&s, &cfg, &FaultSchedule::none(), &LifecyclePlan::none());
 
     let plan = LifecyclePlan {
-        initial_program: Some(base.pipeline),
         swaps: vec![SwapRequest {
-            at_epoch: 3,
-            expected_generation: 0,
-            program: Some(recompile.pipeline),
-            bindings: Vec::new(),
-            weights: Vec::new(),
+            weights: vec![(String::from("multiscale"), None)],
+            ..mute_multiscale()
         }],
         ..LifecyclePlan::none()
     };
@@ -199,19 +195,10 @@ fn accepted_swap_bumps_generation_without_changing_the_outcome() {
 fn storm_redelivered_swap_is_rejected_as_stale() {
     let s = small_flood();
     let cfg = cfg(2);
-    let base = CaseStudyApp::build(CaseStudyParams::default()).unwrap();
-    let recompile = CaseStudyApp::build(CaseStudyParams::default()).unwrap();
 
     let spec = "reconfig_storm=1.0";
     let plan = LifecyclePlan {
-        initial_program: Some(base.pipeline),
-        swaps: vec![SwapRequest {
-            at_epoch: 3,
-            expected_generation: 0,
-            program: Some(recompile.pipeline),
-            bindings: Vec::new(),
-            weights: Vec::new(),
-        }],
+        swaps: vec![mute_multiscale()],
         faults_spec: String::from(spec),
         ..LifecyclePlan::none()
     };
@@ -226,6 +213,54 @@ fn storm_redelivered_swap_is_rejected_as_stale() {
         .find(|e| e.kind == "stale_swap_rejected")
         .expect("a stale_swap_rejected event");
     assert!(stale.detail.contains("stale"), "{}", stale.detail);
+}
+
+/// A committed override is part of the checkpointed state: resume
+/// re-applies it at its original position while replaying the
+/// delivered-signal log, so a run killed after the swap and resumed is
+/// byte-identical to the uninterrupted swapped run — which the
+/// override visibly changed.
+#[test]
+fn committed_override_survives_kill_and_resume() {
+    let s = small_flood();
+    let cfg = cfg(2);
+    let dir = fresh_dir("override");
+
+    let (unswapped, _) = run_replay_lifecycle(&s, &cfg, &chaos(CHAOS), &LifecyclePlan::none());
+    let swapped_plan = LifecyclePlan {
+        swaps: vec![mute_multiscale()],
+        faults_spec: String::from(CHAOS),
+        ..LifecyclePlan::none()
+    };
+    let (full, full_report) = run_replay_lifecycle(&s, &cfg, &chaos(CHAOS), &swapped_plan);
+    assert_eq!(full_report.swaps_committed, 1);
+    assert!(
+        render_outcome_json(&full) != render_outcome_json(&unswapped),
+        "muting a firing engine must show in the snapshot"
+    );
+
+    let plan = LifecyclePlan {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 2,
+        kill_at_epoch: Some(6),
+        ..swapped_plan
+    };
+    let (_, killed_report) = run_replay_lifecycle(&s, &cfg, &chaos(CHAOS), &plan);
+    assert_eq!(killed_report.swaps_committed, 1, "the swap commits before the kill");
+    assert!(killed_report.events.iter().any(|e| e.kind == "killed" && e.epoch == 6));
+
+    let resume_plan = LifecyclePlan {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 2,
+        ..LifecyclePlan::none()
+    };
+    let (resumed, resumed_report) = resume_from_checkpoint(&s, &cfg, &resume_plan).unwrap();
+    assert_eq!(resumed_report.generation, 1, "the generation resumes with the override");
+    assert!(
+        render_outcome_json(&resumed) == render_outcome_json(&full),
+        "resumed snapshot differs from the uninterrupted swapped run"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `ckpt_corrupt=N` tears the Nth checkpoint write after its checksum
@@ -272,7 +307,10 @@ fn torn_checkpoint_write_falls_back_and_still_resumes_identically() {
         "the fallback names the rejected file: {:?}",
         report.events
     );
-    assert_eq!(render_outcome_json(&resumed), render_outcome_json(&full));
+    assert!(
+        render_outcome_json(&resumed) == render_outcome_json(&full),
+        "resumed snapshot differs from the uninterrupted swapped run"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -133,9 +133,7 @@ fn faulted_pool_runs_tear_down_without_leaking_workers() {
         swaps: vec![SwapRequest {
             at_epoch: 4,
             expected_generation: 1,
-            program: None,
-            bindings: Vec::new(),
-            weights: Vec::new(),
+            weights: vec![(String::from("multiscale"), Some(0))],
         }],
         faults_spec: String::from(spec),
         ..LifecyclePlan::none()

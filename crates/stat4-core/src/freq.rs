@@ -89,14 +89,16 @@ impl FrequencyDist {
     ///
     /// # Errors
     ///
-    /// [`Stat4Error::InvalidDomain`] if `counts` is empty or wider than
-    /// 2³² cells.
+    /// [`Stat4Error::InvalidDomain`] if `counts` is empty, wider than
+    /// 2³² cells, or would put the domain's top past `i64::MAX`.
     #[doc(hidden)]
     pub fn from_raw_counts(min: i64, counts: Vec<u64>) -> Stat4Result<Self> {
         if counts.is_empty() || counts.len() > (1usize << 32) {
             return Err(Stat4Error::InvalidDomain { min, max: min });
         }
-        let max = min + (counts.len() as i64 - 1);
+        let max = min
+            .checked_add(counts.len() as i64 - 1)
+            .ok_or(Stat4Error::InvalidDomain { min, max: i64::MAX })?;
         let mut n_distinct = 0u64;
         let mut total = 0u64;
         let mut sumsq = 0u128;
@@ -534,6 +536,7 @@ mod tests {
         let b = FrequencyDist::from_raw_counts(0, vec![1, 2, 0, 3]).unwrap();
         assert_eq!(a, b);
         assert!(FrequencyDist::from_raw_counts(0, vec![]).is_err());
+        assert!(FrequencyDist::from_raw_counts(i64::MAX, vec![0, 0]).is_err());
     }
 
     #[test]

@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn lifecycle_subcommand_renders_a_report() {
         let mut report = LifecycleReport::default();
-        report.push(3, "swap_committed", String::from("generation 1: program verified equivalent"));
+        report.push(3, "swap_committed", String::from("generation 1: weights multiscale=0"));
         report.push(5, "killed", String::from("stopped at drain point before epoch ordinal 5"));
         report.swaps_committed = 1;
         report.generation = 1;

@@ -223,5 +223,6 @@ mod tests {
         assert_eq!(json_string("a\\b"), "\"a\\\\b\"");
         assert_eq!(json_string("a\nb"), "\"a\\nb\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }
