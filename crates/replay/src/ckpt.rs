@@ -33,6 +33,21 @@
 //! sequence, so the rebuilt state — engine internals, fired log,
 //! metrics, ladder phase — is bit-identical to the state at checkpoint
 //! time.
+//!
+//! **Write cost.** The coordinator's [`Writer`] renders the payload
+//! once, hashes it, and writes the fixed header around it. The two logs
+//! that grow with the run, `context_log` and `provenance`, are
+//! push-only: the coordinator only appends to them, and a resume
+//! restores them whole into a coordinator whose writer starts empty.
+//! The writer therefore keeps each log's rendered text between writes
+//! and renders only the entries appended since the previous
+//! checkpoint; the rest of the payload (scalars, shards, incidents,
+//! overrides) is small and rendered at every write. Two passes stay
+//! O(history) per write: the FNV-1a checksum over the whole payload and
+//! the file write with its fsync. Shrinking those needs a format
+//! change. [`serialize`] is the same code with a fresh writer, so there
+//! is one rendering path and the bytes on disk do not depend on when a
+//! log entry was rendered.
 
 use crate::provenance::AlertProvenanceRecord;
 use crate::snapshot::{
@@ -47,10 +62,11 @@ use stat4_core::hll::HyperLogLog;
 use stat4_core::percentile::{MarkerRaw, PercentileSet};
 use stat4_core::running::RunningStats;
 use stat4_core::sketch::{CountMinSketch, ROW_SALTS};
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use telemetry::json::render;
-use telemetry::Json;
+use telemetry::json::{render, render_into};
+use telemetry::{json_string, Json};
 
 /// First bytes of every checkpoint document.
 pub const MAGIC: &str = "stat4-replay-ckpt";
@@ -242,94 +258,231 @@ fn incident_json(i: &ShardIncident) -> Json {
     ])
 }
 
-fn payload_json(c: &Checkpoint) -> Json {
+fn context_json(e: &ContextEntry) -> Json {
     obj(vec![
-        ("next_ordinal", jus(c.next_ordinal)),
-        ("checkpoint_ordinal", ju(c.checkpoint_ordinal)),
-        ("cfg_shards", jus(c.cfg_shards)),
-        ("cfg_batch", jus(c.cfg_batch)),
-        ("cfg_interval_ns", ju(c.cfg_interval_ns)),
-        ("schedule_packets", ju(c.schedule_packets)),
-        ("faults_spec", Json::Str(c.faults_spec.clone())),
-        ("fault_seed", ju(c.fault_seed)),
-        ("packets", ju(c.packets)),
-        ("epochs", ju(c.epochs)),
-        ("packets_rerouted", ju(c.packets_rerouted)),
-        ("reports_dropped", ju(c.reports_dropped)),
-        ("carried_syns", Json::Int(c.carried_syns)),
-        ("carried_packets", Json::Int(c.carried_packets)),
-        ("carried_len_sum", Json::Int(c.carried_len_sum)),
-        ("carried_epochs", Json::Int(c.carried_epochs)),
-        ("carried_from", u64_arr(&c.carried_from)),
-        ("alive", Json::Arr(c.alive.iter().map(|&a| jb(a)).collect())),
-        (
-            "shards",
-            Json::Arr(
-                c.shards
-                    .iter()
-                    .map(|s| s.as_ref().map_or(Json::Null, shard_json))
-                    .collect(),
-            ),
-        ),
-        (
-            "incidents",
-            Json::Arr(c.incidents.iter().map(incident_json).collect()),
-        ),
-        (
-            "context_log",
-            Json::Arr(
-                c.context_log
-                    .iter()
-                    .map(|e| {
-                        obj(vec![
-                            ("signals", signals_json(&e.signals)),
-                            ("kinds_min", Json::Int(e.kinds_min)),
-                            ("kinds_counts", u64_arr(&e.kinds_counts)),
-                            ("len_n", ju(e.len_n)),
-                            ("len_xsum", Json::Int(e.len_xsum)),
-                            ("len_xsumsq", Json::Int(e.len_xsumsq)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "overrides",
-            Json::Arr(
-                c.overrides
-                    .iter()
-                    .map(|o| {
-                        obj(vec![
-                            ("after_observes", ju(o.after_observes)),
-                            ("engine", Json::Str(o.engine.clone())),
-                            ("weight", jopt_i64(o.weight)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "provenance",
-            Json::Arr(c.provenance.iter().map(record_json).collect()),
-        ),
-        ("generation", ju(c.generation)),
-        ("swaps_committed", ju(c.swaps_committed)),
+        ("signals", signals_json(&e.signals)),
+        ("kinds_min", Json::Int(e.kinds_min)),
+        ("kinds_counts", u64_arr(&e.kinds_counts)),
+        ("len_n", ju(e.len_n)),
+        ("len_xsum", Json::Int(e.len_xsum)),
+        ("len_xsumsq", Json::Int(e.len_xsumsq)),
     ])
 }
 
-/// Serializes a checkpoint into its on-disk document: magic, version,
-/// checksum over the canonical payload rendering, then the payload.
+fn override_json(o: &OverrideEntry) -> Json {
+    obj(vec![
+        ("after_observes", ju(o.after_observes)),
+        ("engine", Json::Str(o.engine.clone())),
+        ("weight", jopt_i64(o.weight)),
+    ])
+}
+
+/// The rendered array body (entries joined by commas) of one push-only
+/// log, and how many of its entries that text covers.
+#[derive(Debug, Default)]
+struct LogText {
+    text: String,
+    entries: usize,
+}
+
+impl LogText {
+    /// Renders the entries of `log` this text does not cover yet onto
+    /// it, and returns the whole body.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `log` is shorter than the entries already rendered:
+    /// the log was not push-only, and the cached text is stale.
+    fn extend<T>(&mut self, log: &[T], to_json: fn(&T) -> Json) -> &str {
+        assert!(
+            log.len() >= self.entries,
+            "checkpoint log shrank from {} to {} entries; it must be push-only",
+            self.entries,
+            log.len()
+        );
+        for e in &log[self.entries..] {
+            if !self.text.is_empty() {
+                self.text.push(',');
+            }
+            render_into(&mut self.text, &to_json(e));
+        }
+        self.entries = log.len();
+        &self.text
+    }
+}
+
+/// One payload member: a small tree rendered at every write, or the
+/// cached array body of a push-only log.
+enum Member<'a> {
+    Tree(Json),
+    Log(&'a str),
+}
+
+/// Renders checkpoints of one run. It keeps the rendered text of the
+/// two push-only logs (`context_log`, `provenance`) between writes, so
+/// each write renders only the entries appended since the previous
+/// one. A fresh writer renders everything; [`serialize`] is exactly
+/// that.
+#[derive(Debug, Default)]
+pub struct Writer {
+    context_log: LogText,
+    provenance: LogText,
+}
+
+impl Writer {
+    fn payload(&mut self, c: &Checkpoint) -> String {
+        use Member::{Log, Tree};
+        let context_log = self.context_log.extend(&c.context_log, context_json);
+        let provenance = self.provenance.extend(&c.provenance, record_json);
+        let members = [
+            ("next_ordinal", Tree(jus(c.next_ordinal))),
+            ("checkpoint_ordinal", Tree(ju(c.checkpoint_ordinal))),
+            ("cfg_shards", Tree(jus(c.cfg_shards))),
+            ("cfg_batch", Tree(jus(c.cfg_batch))),
+            ("cfg_interval_ns", Tree(ju(c.cfg_interval_ns))),
+            ("schedule_packets", Tree(ju(c.schedule_packets))),
+            ("faults_spec", Tree(Json::Str(c.faults_spec.clone()))),
+            ("fault_seed", Tree(ju(c.fault_seed))),
+            ("packets", Tree(ju(c.packets))),
+            ("epochs", Tree(ju(c.epochs))),
+            ("packets_rerouted", Tree(ju(c.packets_rerouted))),
+            ("reports_dropped", Tree(ju(c.reports_dropped))),
+            ("carried_syns", Tree(Json::Int(c.carried_syns))),
+            ("carried_packets", Tree(Json::Int(c.carried_packets))),
+            ("carried_len_sum", Tree(Json::Int(c.carried_len_sum))),
+            ("carried_epochs", Tree(Json::Int(c.carried_epochs))),
+            ("carried_from", Tree(u64_arr(&c.carried_from))),
+            (
+                "alive",
+                Tree(Json::Arr(c.alive.iter().map(|&a| jb(a)).collect())),
+            ),
+            (
+                "shards",
+                Tree(Json::Arr(
+                    c.shards
+                        .iter()
+                        .map(|s| s.as_ref().map_or(Json::Null, shard_json))
+                        .collect(),
+                )),
+            ),
+            (
+                "incidents",
+                Tree(Json::Arr(c.incidents.iter().map(incident_json).collect())),
+            ),
+            ("context_log", Log(context_log)),
+            (
+                "overrides",
+                Tree(Json::Arr(c.overrides.iter().map(override_json).collect())),
+            ),
+            ("provenance", Log(provenance)),
+            ("generation", Tree(ju(c.generation))),
+            ("swaps_committed", Tree(ju(c.swaps_committed))),
+        ];
+        // The logs dominate; 64 KiB covers the fixed part of a few shards.
+        let mut out = String::with_capacity(context_log.len() + provenance.len() + (1 << 16));
+        out.push('{');
+        for (i, (key, member)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&json_string(key));
+            out.push(':');
+            match member {
+                Tree(v) => render_into(&mut out, v),
+                Log(body) => {
+                    out.push('[');
+                    out.push_str(body);
+                    out.push(']');
+                }
+            }
+        }
+        out.push('}');
+        out
+    }
+
+    /// Renders `c` into its on-disk document: magic, version, checksum
+    /// over the canonical payload rendering, then the payload. The
+    /// payload is rendered once and hashed; the fixed header is written
+    /// around it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c`'s logs are shorter than at this writer's previous
+    /// call (see [`LogText::extend`]).
+    pub fn serialize(&mut self, c: &Checkpoint) -> String {
+        let payload = self.payload(c);
+        let sum = fnv1a64(payload.as_bytes());
+        let mut doc = String::with_capacity(payload.len() + 128);
+        let _ = write!(
+            doc,
+            "{{\"magic\":{},\"version\":{VERSION},\"checksum\":\"{sum:016x}\",\"payload\":",
+            json_string(MAGIC)
+        );
+        doc.push_str(&payload);
+        doc.push('}');
+        doc
+    }
+
+    /// Writes `c` to `dir` crash-consistently: temp file in the same
+    /// directory, fsync, atomic rename, directory fsync (best effort).
+    /// If `faults` schedules corruption for this checkpoint ordinal the
+    /// bytes are damaged *after* the checksum was computed — modelling
+    /// a torn write or bit rot between the engine and the platter.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure, labelled with the path it hit.
+    pub fn write(
+        &mut self,
+        dir: &Path,
+        c: &Checkpoint,
+        faults: &FaultSchedule,
+    ) -> Result<PathBuf, String> {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create checkpoint dir {}: {e}", dir.display()))?;
+        let mut bytes = self.serialize(c).into_bytes();
+        match faults.ckpt_corruption(c.checkpoint_ordinal) {
+            Some(CkptCorruption::Truncate { keep }) => {
+                let keep = usize::try_from(keep).unwrap_or(usize::MAX).min(bytes.len());
+                bytes.truncate(keep);
+            }
+            Some(CkptCorruption::FlipByte { offset, mask }) if !bytes.is_empty() => {
+                let i = usize::try_from(offset % bytes.len() as u64).unwrap_or(0);
+                bytes[i] ^= mask;
+            }
+            _ => {}
+        }
+        let final_path = dir.join(file_name(c.checkpoint_ordinal));
+        let tmp_path = dir.join(format!(".tmp-{}", file_name(c.checkpoint_ordinal)));
+        {
+            let mut f = std::fs::File::create(&tmp_path)
+                .map_err(|e| format!("cannot create {}: {e}", tmp_path.display()))?;
+            f.write_all(&bytes)
+                .map_err(|e| format!("cannot write {}: {e}", tmp_path.display()))?;
+            f.sync_all()
+                .map_err(|e| format!("cannot fsync {}: {e}", tmp_path.display()))?;
+        }
+        std::fs::rename(&tmp_path, &final_path).map_err(|e| {
+            format!(
+                "cannot rename {} to {}: {e}",
+                tmp_path.display(),
+                final_path.display()
+            )
+        })?;
+        // Durability of the rename itself; failure here degrades the
+        // guarantee, never correctness, so it is best effort.
+        if let Ok(d) = std::fs::File::open(dir) {
+            let _ = d.sync_all();
+        }
+        Ok(final_path)
+    }
+}
+
+/// Serializes a checkpoint into its on-disk document with a fresh
+/// [`Writer`]: every entry of both logs is rendered.
 #[must_use]
 pub fn serialize(c: &Checkpoint) -> String {
-    let payload = payload_json(c);
-    let body = render(&payload);
-    let sum = fnv1a64(body.as_bytes());
-    render(&obj(vec![
-        ("magic", Json::Str(MAGIC.to_string())),
-        ("version", ju(VERSION)),
-        ("checksum", Json::Str(format!("{sum:016x}"))),
-        ("payload", payload),
-    ]))
+    Writer::default().serialize(c)
 }
 
 // ---- parse ----------------------------------------------------------
@@ -579,59 +732,6 @@ pub fn file_name(ordinal: u64) -> String {
     format!("ckpt-{ordinal:06}.json")
 }
 
-/// Writes `c` to `dir` crash-consistently: temp file in the same
-/// directory, fsync, atomic rename, directory fsync (best effort). If
-/// `faults` schedules corruption for this checkpoint ordinal the bytes
-/// are damaged *after* the checksum was computed — modelling a torn
-/// write or bit rot between the engine and the platter.
-///
-/// # Errors
-///
-/// Any I/O failure, labelled with the path it hit.
-pub fn write_checkpoint(
-    dir: &Path,
-    c: &Checkpoint,
-    faults: &FaultSchedule,
-) -> Result<PathBuf, String> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| format!("cannot create checkpoint dir {}: {e}", dir.display()))?;
-    let mut bytes = serialize(c).into_bytes();
-    match faults.ckpt_corruption(c.checkpoint_ordinal) {
-        Some(CkptCorruption::Truncate { keep }) => {
-            let keep = usize::try_from(keep).unwrap_or(usize::MAX).min(bytes.len());
-            bytes.truncate(keep);
-        }
-        Some(CkptCorruption::FlipByte { offset, mask }) if !bytes.is_empty() => {
-            let i = usize::try_from(offset % bytes.len() as u64).unwrap_or(0);
-            bytes[i] ^= mask;
-        }
-        _ => {}
-    }
-    let final_path = dir.join(file_name(c.checkpoint_ordinal));
-    let tmp_path = dir.join(format!(".tmp-{}", file_name(c.checkpoint_ordinal)));
-    {
-        let mut f = std::fs::File::create(&tmp_path)
-            .map_err(|e| format!("cannot create {}: {e}", tmp_path.display()))?;
-        f.write_all(&bytes)
-            .map_err(|e| format!("cannot write {}: {e}", tmp_path.display()))?;
-        f.sync_all()
-            .map_err(|e| format!("cannot fsync {}: {e}", tmp_path.display()))?;
-    }
-    std::fs::rename(&tmp_path, &final_path).map_err(|e| {
-        format!(
-            "cannot rename {} to {}: {e}",
-            tmp_path.display(),
-            final_path.display()
-        )
-    })?;
-    // Durability of the rename itself; failure here degrades the
-    // guarantee, never correctness, so it is best effort.
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(final_path)
-}
-
 /// Scans `dir` for checkpoints and returns the newest (highest
 /// ordinal) one that validates, plus a note for every newer file that
 /// was rejected (the fallback trail).
@@ -783,6 +883,63 @@ mod tests {
         assert_eq!(serialize(&parsed), text, "re-render is byte-identical");
     }
 
+    fn sample_record(id: u64, signals: SignalValues) -> AlertProvenanceRecord {
+        use crate::provenance::EpochLineage;
+        use anomaly::{AlertProvenance, TriggerCause};
+        AlertProvenanceRecord {
+            id,
+            provenance: AlertProvenance {
+                at: signals.at,
+                epoch: signals.epoch,
+                signals,
+                combined_q16: 70_000,
+                engines: Vec::new(),
+                cause: TriggerCause::EnginesFired(vec![String::from("cusum")]),
+            },
+            lineage: EpochLineage {
+                epoch: signals.epoch,
+                delivered_shards: vec![0],
+                carried_epochs: Vec::new(),
+                spanned: 1,
+                rerouted_frames: 0,
+                quarantined: Vec::new(),
+            },
+            drilldown: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn persistent_writer_matches_a_fresh_serialize_as_the_logs_grow() {
+        let mut c = sample_checkpoint();
+        let entry = c.context_log[0].clone();
+        c.context_log.clear();
+        let mut writer = Writer::default();
+        let mut step = |c: &Checkpoint, what: &str| {
+            assert!(
+                writer.serialize(c) == serialize(c),
+                "writer diverged after {what}"
+            );
+        };
+        step(&c, "empty logs");
+        c.context_log.push(entry.clone());
+        c.provenance.push(sample_record(0, entry.signals));
+        step(&c, "one entry each");
+        for i in 1..4 {
+            let mut e = entry.clone();
+            e.signals.epoch = i;
+            e.len_n += i;
+            c.context_log.push(e.clone());
+            c.provenance.push(sample_record(i, e.signals));
+        }
+        c.epochs += 3;
+        step(&c, "several entries");
+        c.checkpoint_ordinal += 1;
+        step(&c, "a write with nothing appended");
+        step(&c, "a second write with nothing appended");
+        c.context_log.push(entry);
+        step(&c, "one log growing alone");
+    }
+
     #[test]
     fn checksum_mismatch_is_detected() {
         let text = serialize(&sample_checkpoint());
@@ -833,8 +990,9 @@ mod tests {
         newer.checkpoint_ordinal = 4;
         newer.next_ordinal = 9;
         let faults = FaultSchedule::none();
-        write_checkpoint(&dir, &good, &faults).unwrap();
-        write_checkpoint(&dir, &newer, &faults).unwrap();
+        let mut writer = Writer::default();
+        writer.write(&dir, &good, &faults).unwrap();
+        writer.write(&dir, &newer, &faults).unwrap();
         // Damage the newest file in place.
         let p = dir.join(file_name(4));
         let text = std::fs::read_to_string(&p).unwrap();
@@ -852,7 +1010,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let c = sample_checkpoint();
         let faults = FaultSchedule::parse("ckpt_corrupt=3", 5).unwrap();
-        let path = write_checkpoint(&dir, &c, &faults).unwrap();
+        let path = Writer::default().write(&dir, &c, &faults).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(parse(&text).is_err(), "corrupted write must not validate");
         let _ = std::fs::remove_dir_all(&dir);

@@ -140,6 +140,10 @@ pub(crate) struct EpochCoordinator<'a> {
     /// written (it is checkpoint payload, nothing else reads it).
     context_log: Vec<ContextEntry>,
     overrides: Vec<OverrideEntry>,
+    /// Caches the rendered text of the two push-only logs
+    /// (`context_log`, `provenance`) between checkpoints. Starts empty,
+    /// after a resume too: the first write renders the restored logs.
+    ckpt_writer: ckpt::Writer,
     /// Ensemble observations so far (positions weight overrides).
     observes: u64,
     shed: ShedController,
@@ -215,6 +219,7 @@ impl<'a> EpochCoordinator<'a> {
             swaps_committed: 0,
             context_log: Vec::new(),
             overrides: Vec::new(),
+            ckpt_writer: ckpt::Writer::default(),
             observes: 0,
             shed: ShedController::new(plan.shed),
             report: LifecycleReport::default(),
@@ -363,7 +368,11 @@ impl<'a> EpochCoordinator<'a> {
                 && k != self.start_ordinal
             {
                 let t0 = Instant::now();
-                match ckpt::write_checkpoint(dir, &self.checkpoint(k), &self.faults) {
+                let c = self.checkpoint(k);
+                let written = self.ckpt_writer.write(dir, &c, &self.faults);
+                self.context_log = c.context_log;
+                self.provenance = c.provenance;
+                match written {
                     Ok(path) => {
                         self.telemetry.checkpoints_written.inc();
                         self.report.checkpoints_written += 1;
@@ -442,8 +451,10 @@ impl<'a> EpochCoordinator<'a> {
     }
 
     /// Everything needed to resume at epoch ordinal `k`: the inverse of
-    /// [`Self::resume`].
-    fn checkpoint(&self, k: usize) -> Checkpoint {
+    /// [`Self::resume`]. The two logs are lent, not copied: they move
+    /// into the checkpoint and the caller moves them back after the
+    /// write.
+    fn checkpoint(&mut self, k: usize) -> Checkpoint {
         Checkpoint {
             next_ordinal: k,
             checkpoint_ordinal: self.next_ckpt_ordinal,
@@ -465,9 +476,9 @@ impl<'a> EpochCoordinator<'a> {
             alive: self.alive.clone(),
             shards: self.states.clone(),
             incidents: self.incidents.clone(),
-            context_log: self.context_log.clone(),
+            context_log: std::mem::take(&mut self.context_log),
             overrides: self.overrides.clone(),
-            provenance: self.provenance.clone(),
+            provenance: std::mem::take(&mut self.provenance),
             generation: self.generation,
             swaps_committed: self.swaps_committed,
         }

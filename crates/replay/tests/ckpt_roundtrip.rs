@@ -7,7 +7,10 @@
 //! - a payload mutated past the checksum (a key dropped, a value
 //!   retyped, an array resized, a live shard's state nulled) and then
 //!   resealed is refused with an error by parse or resume, never a
-//!   panic.
+//!   panic;
+//! - the checkpoints of a run killed and resumed are byte-identical to
+//!   the uninterrupted run's, including those written after the resume
+//!   and those that hold alert provenance.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -80,6 +83,99 @@ proptest! {
         }
         prop_assert_eq!(files as u64, report.checkpoints_written);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Every checkpoint in `dir`, as `(file name, text)` in name order.
+fn checkpoint_files(dir: &Path) -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap().to_string();
+            (name, std::fs::read_to_string(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn resumed_runs_write_the_uninterrupted_runs_checkpoints() {
+    const SPEC: &str = "shard_crash=1@3,ctrl_loss=0.30";
+    let s = tiny_flood(0);
+    let faults = FaultSchedule::parse(SPEC, 42).unwrap();
+    for shards in [1, 2, 4] {
+        let cfg = ReplayConfig {
+            shards,
+            ..ReplayConfig::default()
+        };
+        let dir = |run: &str| {
+            let d = std::env::temp_dir()
+                .join(format!("replay-ckpt-{run}-{}-{shards}", std::process::id()));
+            std::fs::remove_dir_all(&d).ok();
+            d
+        };
+        let plan = |dir: &Path, kill_at_epoch| LifecyclePlan {
+            checkpoint_dir: Some(dir.to_path_buf()),
+            checkpoint_every: 2,
+            kill_at_epoch,
+            faults_spec: String::from(SPEC),
+            ..LifecyclePlan::none()
+        };
+
+        let full_dir = dir("full");
+        let (_, report) = run_replay_lifecycle(&s, &cfg, &faults, &plan(&full_dir, None));
+        let full = checkpoint_files(&full_dir);
+        assert_eq!(
+            full.len() as u64,
+            report.checkpoints_written,
+            "{shards} shard(s)"
+        );
+        let with_provenance = full
+            .iter()
+            .filter(|(_, text)| {
+                let doc = Json::parse(text).unwrap();
+                !doc.get("payload")
+                    .unwrap()
+                    .get("provenance")
+                    .unwrap()
+                    .as_arr()
+                    .unwrap()
+                    .is_empty()
+            })
+            .count();
+        assert!(
+            with_provenance >= 2,
+            "{shards} shard(s): only {with_provenance} of {} checkpoints hold provenance",
+            full.len()
+        );
+        for (name, text) in &full {
+            let parsed = ckpt::parse(text).unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
+            assert!(
+                ckpt::serialize(&parsed) == *text,
+                "{shards} shard(s): {name} does not re-render"
+            );
+        }
+
+        let resumed_dir = dir("resumed");
+        let (_, killed) = run_replay_lifecycle(&s, &cfg, &faults, &plan(&resumed_dir, Some(5)));
+        assert_eq!(killed.checkpoints_written, 2, "{shards} shard(s)");
+        resume_from_checkpoint(&s, &cfg, &plan(&resumed_dir, None)).expect("resume");
+        let resumed = checkpoint_files(&resumed_dir);
+        assert_eq!(
+            resumed.iter().map(|f| &f.0).collect::<Vec<_>>(),
+            full.iter().map(|f| &f.0).collect::<Vec<_>>(),
+            "{shards} shard(s): checkpoint file sets differ"
+        );
+        for ((name, got), (_, want)) in resumed.iter().zip(&full) {
+            assert!(
+                got == want,
+                "{shards} shard(s): {name} differs after the resume"
+            );
+        }
+        std::fs::remove_dir_all(&full_dir).ok();
+        std::fs::remove_dir_all(&resumed_dir).ok();
     }
 }
 

@@ -370,11 +370,12 @@ fn utf8_width(b: u8) -> usize {
 #[must_use]
 pub fn render(v: &Json) -> String {
     let mut out = String::new();
-    write_value(&mut out, v);
+    render_into(&mut out, v);
     out
 }
 
-fn write_value(out: &mut String, v: &Json) {
+/// Appends `v`, rendered exactly as [`render`] would, to `out`.
+pub fn render_into(out: &mut String, v: &Json) {
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -391,7 +392,7 @@ fn write_value(out: &mut String, v: &Json) {
                 if i > 0 {
                     out.push(',');
                 }
-                write_value(out, item);
+                render_into(out, item);
             }
             out.push(']');
         }
@@ -403,7 +404,7 @@ fn write_value(out: &mut String, v: &Json) {
                 }
                 out.push_str(&crate::expo::json_string(k));
                 out.push(':');
-                write_value(out, item);
+                render_into(out, item);
             }
             out.push('}');
         }
