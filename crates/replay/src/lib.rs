@@ -25,16 +25,19 @@
 //!   routing, the fault plan, the barrier merge, detection,
 //!   provenance, checkpoints and swaps) lives in one epoch
 //!   coordinator; an engine only ingests each surviving shard's slice.
-//!   The production engine is a worker pool ([`mod@pool`]): one OS
-//!   thread per shard, spawned **once per run** and fed through
-//!   bounded per-shard channels; each epoch the coordinator moves the
-//!   shard's state plus its frame list to the worker and back. The
+//!   The production engine is a worker pool ([`mod@pool`]): the
+//!   coordinator thread serves shard 0 and one OS thread serves each
+//!   other shard, spawned **once per run** and fed through bounded
+//!   per-shard channels. Each epoch the pool either ingests every
+//!   slice on the coordinator (when the thread handoff would cost more
+//!   than the parallel work saves) or moves each worker shard's state
+//!   plus its frame list to its worker and back. The
 //!   [`reference`] engine is a threadless sequential oracle over the
 //!   same coordinator, and the pool is tested bit-identical against it
 //!   (`tests/pool.rs`).
 //! - **Epochs** — time is cut into detector intervals; each epoch,
-//!   every surviving worker ingests its slice of the interval in
-//!   batches, then all replies join at the coordinator's barrier.
+//!   every surviving shard's slice of the interval is ingested in
+//!   batches, then the coordinator's barrier merges the shards.
 //! - **Merge** — shard state folds into a global [`ShardState`] via
 //!   [`stat4_core::Mergeable`]: `RunningStats` / `FrequencyDist` /
 //!   `CountMinSketch` merge by summing (order-free, bit-identical to a
@@ -697,18 +700,21 @@ pub(crate) fn merge_surviving(
 /// [`run_replay`] under a seeded fault schedule, supervised.
 ///
 /// Each detector interval is one *epoch*: the interval's frames are
-/// split by flow hash, every surviving shard ingests its slice on its
-/// own thread (in `cfg.batch`-sized batches), the threads join, shard
-/// state is folded into a fresh merged view, and the detector consumes
+/// split by flow hash, every surviving shard's slice is ingested (in
+/// `cfg.batch`-sized batches, on the coordinator or on the shard's
+/// worker thread), shard state is folded into a fresh merged view,
+/// and the detector consumes
 /// the merged aggregates. Per-shard state persists across epochs; only
 /// the merged view is rebuilt.
 ///
 /// The supervisor consults `faults` at three points:
 ///
 /// - **Shard faults** ([`FaultSchedule::shard_fault`]). A `Stall`
-///   sleeps the shard thread (state survives; only wall-clock timings
-///   change). A `Panic` unwinds the shard thread; the supervisor
-///   catches the failed join. A `Crash` stops the shard cleanly before
+///   sleeps the shard's worker thread (state survives; only wall-clock
+///   timings change). A `Panic` unwinds the worker thread; the
+///   supervisor catches the failed join. Shard 0 has no worker thread
+///   (the coordinator serves it), so there a stall is a no-op and a
+///   panic is filed without unwinding. A `Crash` stops the shard cleanly before
 ///   its slice is dispatched. Panicked and crashed shards are *quarantined*:
 ///   their slice of the fault epoch is lost, their accumulated state is
 ///   excluded from all future merges (a dead pipe's registers are

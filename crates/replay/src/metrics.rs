@@ -36,12 +36,13 @@ pub struct ShardMetrics {
     /// slowest shard — the straggler signal.
     pub barrier_wait_ns: LogLinearHistogram,
     /// Nanoseconds each dispatched epoch sat in this shard's bounded
-    /// queue before the worker dequeued it (pool engine; empty on the
-    /// reference engine, which has no queues).
+    /// queue before the worker dequeued it. One sample per epoch the
+    /// pool dispatched to this shard's worker; empty for shard 0, which
+    /// the coordinator serves, and on the reference engine, which has
+    /// no queues.
     pub queue_wait_ns: LogLinearHistogram,
     /// Epochs in flight in this shard's queue at each dispatch —
-    /// backpressure signal (pool engine; empty on the reference
-    /// engine).
+    /// backpressure signal. Sampled like `queue_wait_ns`.
     pub queue_depth: LogLinearHistogram,
 }
 
@@ -180,6 +181,17 @@ pub struct ReplayTelemetry {
     /// Epochs that ran with telemetry detail shed (trace spans or
     /// histograms suppressed under queue-wait overload).
     pub telemetry_shed: Counter,
+    /// Epochs ingested on the coordinator thread (every epoch on the
+    /// reference engine; on the pool, epochs whose handoff would cost
+    /// more than the parallel work saves).
+    pub epochs_inline: Counter,
+    /// Epochs the pool dispatched to its workers. With
+    /// `epochs_inline`, sums to `epochs`.
+    pub epochs_dispatched: Counter,
+    /// Per dispatched epoch: time from the first send to the last
+    /// reply, minus the slowest shard's busy ingest time — what the
+    /// thread handoff cost on top of the work, ns.
+    pub handoff_ns: LogLinearHistogram,
     /// Epoch lifecycle events recorded by the coordinator (bounded).
     pub trace: Tracer,
     /// One bounded tracer per shard, sharing the coordinator's time
@@ -228,6 +240,9 @@ impl ReplayTelemetry {
             swaps_committed: Counter::new(),
             swaps_rejected: Counter::new(),
             telemetry_shed: Counter::new(),
+            epochs_inline: Counter::new(),
+            epochs_dispatched: Counter::new(),
+            handoff_ns: LogLinearHistogram::default(),
             trace,
             shard_traces: (0..shards)
                 .map(|s| Tracer::for_shard(Self::TRACE_CAPACITY, s as u32, origin))
@@ -485,6 +500,24 @@ impl ReplayTelemetry {
             &[],
             self.telemetry_shed.get(),
         );
+        snap.push_counter(
+            "replay_epochs_inline_total",
+            "epochs ingested on the coordinator thread",
+            &[],
+            self.epochs_inline.get(),
+        );
+        snap.push_counter(
+            "replay_epochs_dispatched_total",
+            "epochs dispatched to the worker threads",
+            &[],
+            self.epochs_dispatched.get(),
+        );
+        snap.push_histogram(
+            "replay_handoff_ns",
+            "per dispatched epoch, first send to last reply minus the slowest shard's ingest",
+            &[],
+            &self.handoff_ns,
+        );
         let merged_trace = self.merged_trace();
         snap.push_counter(
             "replay_trace_events_total",
@@ -643,7 +676,12 @@ mod tests {
         t.shards[1].queue_depth.record(2);
         t.partition_ns.record(12_000);
         t.queue_capacity = 2;
+        t.epochs_inline.add(3);
+        t.epochs_dispatched.add(2);
+        t.handoff_ns.record(15_000);
         let snap = t.snapshot();
+        assert_eq!(snap.counter_sum("replay_epochs_inline_total"), 3);
+        assert_eq!(snap.counter_sum("replay_epochs_dispatched_total"), 2);
         let text = telemetry::render_prometheus(&snap);
         for name in [
             "replay_shard_queue_wait_ns",
@@ -651,6 +689,7 @@ mod tests {
             "replay_shard_queue_depth_max",
             "replay_partition_ns",
             "replay_queue_capacity",
+            "replay_handoff_ns",
         ] {
             assert!(text.contains(name), "{name} missing from exposition");
         }

@@ -8,14 +8,18 @@
 //! [`ShardState::ingest`](crate::ShardState::ingest) one at a time, in
 //! `cfg.batch`-sized chunks, on the calling thread. `tests/pool.rs`
 //! therefore checks the pool's threading, up-front flow hashing and
-//! parse-once batch path against a plain loop, with `==`;
-//! `crates/bench` reports the pool's speedup over it.
+//! parse-once batch path against a plain loop, with `==`.
+//!
+//! That loop is `ingest_inline`, and it is the only copy: the pool
+//! calls it too, for every epoch it keeps on the coordinator and for
+//! shard 0, which the coordinator always serves.
 
 use crate::coordinator::{
     elapsed_ns, injected_panic_message, Engine, EpochCoordinator, EpochIngest, ShardResult,
 };
 use crate::{LifecyclePlan, ReplayConfig, ReplayOutcome};
 use faultinject::{FaultSchedule, ShardFaultKind};
+use std::ops::Range;
 use std::time::Instant;
 use workloads::Schedule;
 
@@ -63,35 +67,53 @@ impl<'a> Engine<'a> for Oracle<'a> {
         workloads::shard::shard_of(&self.schedule[idx].1, self.shards)
     }
 
-    fn ingest(&mut self, e: EpochIngest<'_, 'a>, results: &mut Vec<(usize, ShardResult)>) -> u64 {
-        for s in (0..self.shards).filter(|&s| e.alive[s]) {
-            if e.faults[s] == Some(ShardFaultKind::Panic) {
-                results.push((s, Err(injected_panic_message(s, e.idx))));
-                continue;
-            }
-            let state = e.states[s].as_mut().expect("alive shard holds its state");
-            let mut tracer = e.tracers[s].as_mut().filter(|_| e.traces_on);
-            let m = &mut e.telemetry.shards[s];
-            if let Some(tr) = tracer.as_deref_mut() {
-                tr.begin("ingest", e.idx);
-            }
-            let busy = Instant::now();
-            for chunk in e.work[s].chunks(e.batch) {
-                for frame in chunk {
-                    state.ingest(frame);
-                }
-                m.packets.add(chunk.len() as u64);
-                m.batches.inc();
-                if e.hists_on {
-                    m.batch_size.record(chunk.len() as u64);
-                }
-            }
-            let busy_ns = elapsed_ns(busy);
-            if let Some(tr) = tracer {
-                tr.end("ingest", e.idx);
-            }
-            results.push((s, Ok(busy_ns)));
-        }
+    fn ingest(
+        &mut self,
+        mut e: EpochIngest<'_, 'a>,
+        results: &mut Vec<(usize, ShardResult)>,
+    ) -> u64 {
+        e.telemetry.epochs_inline.inc();
+        ingest_inline(&mut e, 0..self.shards, results);
         0
+    }
+}
+
+/// Ingests the routed slice of every alive shard in `shards` on the
+/// calling thread, one frame at a time in `e.batch`-sized chunks,
+/// pushing one result per shard in shard order. An injected panic
+/// files the message a worker would panic with, before any ingest; an
+/// injected stall is a no-op, since there is no worker thread to delay.
+pub(crate) fn ingest_inline(
+    e: &mut EpochIngest<'_, '_>,
+    shards: Range<usize>,
+    results: &mut Vec<(usize, ShardResult)>,
+) {
+    for s in shards.filter(|&s| e.alive[s]) {
+        if e.faults[s] == Some(ShardFaultKind::Panic) {
+            results.push((s, Err(injected_panic_message(s, e.idx))));
+            continue;
+        }
+        let state = e.states[s].as_mut().expect("alive shard holds its state");
+        let mut tracer = e.tracers[s].as_mut().filter(|_| e.traces_on);
+        let m = &mut e.telemetry.shards[s];
+        if let Some(tr) = tracer.as_deref_mut() {
+            tr.begin("ingest", e.idx);
+        }
+        let busy = Instant::now();
+        for chunk in e.work[s].chunks(e.batch) {
+            for frame in chunk {
+                state.ingest(frame);
+            }
+            m.packets.add(chunk.len() as u64);
+            m.batches.inc();
+            if e.hists_on {
+                m.batch_size.record(chunk.len() as u64);
+            }
+        }
+        let busy_ns = elapsed_ns(busy);
+        if let Some(tr) = tracer {
+            tr.end("ingest", e.idx);
+        }
+        results.push((s, Ok(busy_ns)));
     }
 }

@@ -134,3 +134,39 @@ fn json_rendering_contains_every_family_once() {
     let closes = json.matches('}').count();
     assert_eq!(opens, closes);
 }
+
+#[test]
+fn every_epoch_runs_at_one_site_and_the_choice_is_exported() {
+    for shards in [1usize, 2, 4] {
+        let out = run(shards);
+        let t = &out.telemetry;
+        let (inline, dispatched) = (t.epochs_inline.get(), t.epochs_dispatched.get());
+        assert_eq!(inline + dispatched, out.epochs, "{shards} shards");
+        assert_eq!(t.epochs.get(), out.epochs, "{shards} shards");
+        assert_eq!(t.handoff_ns.count(), dispatched, "{shards} shards: one handoff per dispatch");
+        if shards == 1 {
+            assert_eq!(dispatched, 0, "a 1-shard run has no worker");
+        }
+        let snap = t.snapshot();
+        assert_eq!(snap.counter_sum("replay_epochs_inline_total"), inline);
+        assert_eq!(snap.counter_sum("replay_epochs_dispatched_total"), dispatched);
+        let handoff = snap.find("replay_handoff_ns").expect("handoff histogram exported");
+        assert_eq!(handoff.kind, MetricKind::Histogram);
+        let text = render_prometheus(&snap);
+        check_prometheus(&text).unwrap_or_else(|errs| {
+            panic!("exposition rejected:\n{}", errs.join("\n"));
+        });
+        let json = render_json(&snap);
+        for name in [
+            "replay_epochs_inline_total",
+            "replay_epochs_dispatched_total",
+            "replay_handoff_ns",
+        ] {
+            assert!(text.contains(name), "{name} missing from the Prometheus exposition");
+            assert!(
+                json.contains(&format!("\"name\":\"{name}\"")),
+                "{name} missing from the JSON exposition"
+            );
+        }
+    }
+}

@@ -233,19 +233,20 @@ fn pool_reports_queue_and_pipeline_telemetry() {
     let out = run_replay(&s, &cfg);
     let t = &out.telemetry;
     assert_eq!(t.queue_capacity, 2, "double-buffered dispatch queues");
+    // Every epoch runs at exactly one site.
+    let dispatched = t.epochs_dispatched.get();
+    assert_eq!(t.epochs_inline.get() + dispatched, out.epochs);
+    assert!(dispatched > 0, "with no estimate yet the pool dispatches");
+    assert_eq!(t.handoff_ns.count(), dispatched, "one handoff per dispatch");
+    // The coordinator serves shard 0, so its queue stays empty; every
+    // worker shard sees each dispatched epoch once on a faultless run.
     for (s_idx, m) in t.shards.iter().enumerate() {
-        assert_eq!(
-            m.queue_depth.count(),
-            out.epochs,
-            "shard {s_idx}: one dispatch per epoch"
-        );
-        assert_eq!(
-            m.queue_wait_ns.count(),
-            out.epochs,
-            "shard {s_idx}: one dequeue per epoch"
-        );
+        let want = if s_idx == 0 { 0 } else { dispatched };
+        assert_eq!(m.queue_depth.count(), want, "shard {s_idx}: dispatches");
+        assert_eq!(m.queue_wait_ns.count(), want, "shard {s_idx}: dequeues");
         // Collect-before-dispatch keeps at most one epoch in flight.
-        assert_eq!(m.queue_depth.max(), Some(1), "shard {s_idx}: queue depth");
+        let deepest = if s_idx == 0 { None } else { Some(1) };
+        assert_eq!(m.queue_depth.max(), deepest, "shard {s_idx}: queue depth");
     }
     // Routing: exactly one sample per epoch. The up-front hash pass
     // lands in the dedicated warm-up counter, not the per-epoch
@@ -253,11 +254,52 @@ fn pool_reports_queue_and_pipeline_telemetry() {
     assert_eq!(t.partition_ns.count(), out.epochs);
     assert!(t.prepartition_ns.get() > 0, "warm-up hash pass recorded");
 
-    // The reference engine reports none of this.
+    // The reference engine reports none of this, and ingests every
+    // epoch inline.
     let refr = reference::run_replay(&s, &cfg);
     assert_eq!(refr.telemetry.queue_capacity, 0);
     assert_eq!(refr.telemetry.merged_shard().queue_depth.count(), 0);
     assert_eq!(refr.telemetry.partition_ns.count(), 0);
+    assert_eq!(refr.telemetry.epochs_inline.get(), refr.epochs);
+    assert_eq!(refr.telemetry.epochs_dispatched.get(), 0);
+    assert_eq!(refr.telemetry.handoff_ns.count(), 0);
+}
+
+/// The sparse delta path folds only touched cells, so the bytes a
+/// barrier ships grow sub-linearly from 1 to 8 shards (each shard's
+/// flows touch their own cells; nothing scales with 8 full states).
+/// Delta bytes depend only on the frame sequence, so both engines ship
+/// the same count. On `small_flood`: 43,983 bytes at 1 shard and
+/// 105,979 at 8, i.e. 2.41×.
+#[test]
+fn merge_delta_bytes_grow_sub_linearly_with_shards() {
+    let s = small_flood();
+    let delta_bytes = |shards: usize| {
+        let cfg = ReplayConfig {
+            shards,
+            ..ReplayConfig::default()
+        };
+        let pool = run_replay(&s, &cfg);
+        let refr = reference::run_replay(&s, &cfg);
+        let bytes = pool.telemetry.merge_delta_bytes.get();
+        assert_eq!(
+            bytes,
+            refr.telemetry.merge_delta_bytes.get(),
+            "{shards} shards: delta bytes identical across engines"
+        );
+        for (name, out) in [("pool", &pool), ("reference", &refr)] {
+            let t = &out.telemetry;
+            assert!(t.merge_rebuilds.get() <= 2, "{name} @{shards}: rebuilds");
+            assert!(t.merge_skipped_registers.get() > 0, "{name} @{shards}: skipped");
+        }
+        bytes
+    };
+    let (one, eight) = (delta_bytes(1), delta_bytes(8));
+    assert!(one > 0, "deltas shipped at 1 shard");
+    assert!(
+        eight < 4 * one,
+        "delta bytes {one} @1 shard -> {eight} @8 shards is not sub-linear"
+    );
 }
 
 /// The epoch histogram must record what a wall clock actually

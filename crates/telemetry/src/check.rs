@@ -377,23 +377,31 @@ fn event_str(ev: &Json, key: &str, idx: usize, errors: &mut Vec<String>) -> Opti
 ///
 /// # Errors
 ///
-/// Returns every structural problem as a human-readable message.
+/// Returns every structural problem as a human-readable message that
+/// names where it is: the JSON parser's byte offset, the byte offset
+/// of the document object for a missing or mistyped top-level key, or
+/// the index of the offending event.
 pub fn parse_trace(text: &str) -> Result<TraceDoc, Vec<String>> {
     let doc = Json::parse(text).map_err(|e| vec![format!("document: {e}")])?;
+    // A well-formed document is one object; top-level problems name
+    // the byte where it starts.
+    let at = text.len() - text.trim_start().len();
     let mut errors = Vec::new();
     let Some(events_json) = doc.get("traceEvents") else {
-        return Err(vec!["document: missing traceEvents".into()]);
+        return Err(vec![format!("byte {at}: document: missing traceEvents")]);
     };
     let Some(items) = events_json.as_arr() else {
-        return Err(vec!["document: traceEvents is not an array".into()]);
+        return Err(vec![format!("byte {at}: document: traceEvents is not an array")]);
     };
     let dropped = match doc.get("dropped") {
         Some(v) => v.as_u64().unwrap_or_else(|| {
-            errors.push("document: dropped is not a non-negative integer".into());
+            errors.push(format!(
+                "byte {at}: document: dropped is not a non-negative integer"
+            ));
             0
         }),
         None => {
-            errors.push("document: missing dropped counter".into());
+            errors.push(format!("byte {at}: document: missing dropped counter"));
             0
         }
     };
